@@ -7,7 +7,6 @@
 
 use eq_bench::harness::{smoke_mode, BenchGroup};
 use eq_bench::{clone_db, drive_giant};
-use eq_core::EngineConfig;
 use eq_workload::{giant_component, GiantBody, GiantComponentConfig};
 
 fn main() {
@@ -36,7 +35,6 @@ fn main() {
         friends_per_user: k,
         body: GiantBody::SharedWide,
     });
-    let crossover = EngineConfig::default().intra_split_crossover;
 
     let mut group = BenchGroup::new("fig_giant");
     group.sample_size(if smoke_mode() { 3 } else { 5 });
@@ -51,7 +49,7 @@ fn main() {
             "sequential (one combined join)",
             n as u64,
             || clone_db(&chain_db),
-            |db| drive_giant(db, &chain_queries, usize::MAX, 1, usize::MAX, crossover),
+            |db| drive_giant(db, &chain_queries, usize::MAX, 1, usize::MAX),
         );
         // The shared-variable ring as a single work unit: same
         // quadratic atom-selection asymptotics, one sample.
@@ -59,7 +57,7 @@ fn main() {
             "shared chain (one work unit)",
             n as u64,
             || clone_db(&shared_db),
-            |db| drive_giant(db, &shared_queries, 1, 1, usize::MAX, crossover),
+            |db| drive_giant(db, &shared_queries, 1, 1, usize::MAX),
         );
     }
 
@@ -68,7 +66,7 @@ fn main() {
             &format!("intra chain ({t} threads)"),
             n as u64,
             || clone_db(&chain_db),
-            |db| drive_giant(db, &chain_queries, 1, t, usize::MAX, crossover),
+            |db| drive_giant(db, &chain_queries, 1, t, usize::MAX),
         );
     }
     for &t in threads {
@@ -76,7 +74,7 @@ fn main() {
             &format!("intra triangle ({t} threads)"),
             n as u64,
             || clone_db(&tri_db),
-            |db| drive_giant(db, &tri_queries, 1, t, usize::MAX, crossover),
+            |db| drive_giant(db, &tri_queries, 1, t, usize::MAX),
         );
     }
     for &t in threads {
@@ -84,7 +82,7 @@ fn main() {
             &format!("shared chain, region split ({t} threads)"),
             n as u64,
             || clone_db(&shared_db),
-            |db| drive_giant(db, &shared_queries, 1, t, 16, 0),
+            |db| drive_giant(db, &shared_queries, 1, t, 0),
         );
     }
     // The streaming stress flavor: Θ(k²) local solutions per pendant
@@ -94,7 +92,7 @@ fn main() {
             &format!("shared wide, region split ({t} threads)"),
             n as u64,
             || clone_db(&wide_db),
-            |db| drive_giant(db, &wide_queries, 1, t, 16, 0),
+            |db| drive_giant(db, &wide_queries, 1, t, 0),
         );
     }
 }

@@ -1184,19 +1184,17 @@ pub struct FigGiantConfig {
 /// iterative explicit-frame search with heap-bounded depth, so even the
 /// 100k-atom sweep bodies evaluate on a default stack.
 ///
-/// `intra_split_min_atoms` gates shared-variable biconnected-region
-/// splitting inside the partitioned path (`usize::MAX` disables it —
-/// the whole-unit baseline for the `SharedChain` series).
-/// `intra_split_crossover` is the split-vs-whole crossover gate
-/// (`0` forces every eligible unit to split; pass
-/// `EngineConfig::default().intra_split_crossover` for the production
-/// heuristic).
+/// `intra_split_crossover` is the shared-variable biconnected-region
+/// split gate inside the partitioned path: `usize::MAX` disables
+/// splitting (the whole-unit baseline for the `SharedChain` series),
+/// `0` forces every decomposing unit to split, and
+/// `EngineConfig::default().intra_split_crossover` is the production
+/// heuristic.
 pub fn drive_giant(
     db: Database,
     queries: &[EntangledQuery],
     intra_component_threshold: usize,
     flush_threads: usize,
-    intra_split_min_atoms: usize,
     intra_split_crossover: usize,
 ) -> (f64, eq_core::BatchReport) {
     let coordinator = Coordinator::new(
@@ -1207,7 +1205,6 @@ pub fn drive_giant(
             on_no_solution: NoSolutionPolicy::Reject,
             flush_threads,
             intra_component_threshold,
-            intra_split_min_atoms,
             intra_split_crossover,
             ..Default::default()
         },
@@ -1282,7 +1279,6 @@ pub fn run_fig_giant(cfg: &FigGiantConfig) -> Vec<Row> {
                 usize::MAX,
                 1,
                 usize::MAX,
-                default_crossover,
             );
             assert_eq!(report.answered, n, "sequential ring must coordinate");
             rows.push(Row {
@@ -1298,14 +1294,8 @@ pub fn run_fig_giant(cfg: &FigGiantConfig) -> Vec<Row> {
         }
 
         for &t in &cfg.threads {
-            let (millis, report) = drive_giant(
-                clone_db(&chain_db),
-                &chain_queries,
-                1,
-                t,
-                usize::MAX,
-                default_crossover,
-            );
+            let (millis, report) =
+                drive_giant(clone_db(&chain_db), &chain_queries, 1, t, usize::MAX);
             assert_eq!(report.answered, n, "partitioned ring must coordinate");
             rows.push(Row {
                 extra: Some(report.answered as f64),
@@ -1321,14 +1311,7 @@ pub fn run_fig_giant(cfg: &FigGiantConfig) -> Vec<Row> {
 
         let (tri_db, tri_queries) = mk(GiantBody::Triangle);
         for &t in &cfg.threads {
-            let (millis, report) = drive_giant(
-                clone_db(&tri_db),
-                &tri_queries,
-                1,
-                t,
-                usize::MAX,
-                default_crossover,
-            );
+            let (millis, report) = drive_giant(clone_db(&tri_db), &tri_queries, 1, t, usize::MAX);
             assert_eq!(report.answered, n, "triangle ring must coordinate");
             rows.push(Row {
                 extra: Some(report.answered as f64),
@@ -1347,14 +1330,8 @@ pub fn run_fig_giant(cfg: &FigGiantConfig) -> Vec<Row> {
             // Splitting disabled: the shared-variable body is one work
             // unit and evaluates whole (same asymptotics as the
             // sequential combined join — hence the same cap).
-            let (millis, report) = drive_giant(
-                clone_db(&shared_db),
-                &shared_queries,
-                1,
-                1,
-                usize::MAX,
-                default_crossover,
-            );
+            let (millis, report) =
+                drive_giant(clone_db(&shared_db), &shared_queries, 1, 1, usize::MAX);
             assert_eq!(report.answered, n, "shared ring must coordinate");
             assert_eq!(report.intra_regions, 0, "split disabled");
             rows.push(Row {
@@ -1378,7 +1355,6 @@ pub fn run_fig_giant(cfg: &FigGiantConfig) -> Vec<Row> {
                 &shared_queries,
                 1,
                 1,
-                16,
                 default_crossover,
             );
             assert_eq!(report.answered, n, "gated shared ring must coordinate");
@@ -1402,7 +1378,7 @@ pub fn run_fig_giant(cfg: &FigGiantConfig) -> Vec<Row> {
         for &t in &cfg.threads {
             // Crossover 0 forces the split at every size — the series
             // that isolates region-evaluation cost from the gate.
-            let (millis, report) = drive_giant(clone_db(&shared_db), &shared_queries, 1, t, 16, 0);
+            let (millis, report) = drive_giant(clone_db(&shared_db), &shared_queries, 1, t, 0);
             assert_eq!(report.answered, n, "split shared ring must coordinate");
             assert_eq!(report.intra_regions, n, "one region per chain edge");
             rows.push(Row {
@@ -1423,7 +1399,7 @@ pub fn run_fig_giant(cfg: &FigGiantConfig) -> Vec<Row> {
         // no matter how large the ring grows.
         let (wide_db, wide_queries) = mk(GiantBody::SharedWide);
         for &t in &cfg.threads {
-            let (millis, report) = drive_giant(clone_db(&wide_db), &wide_queries, 1, t, 16, 0);
+            let (millis, report) = drive_giant(clone_db(&wide_db), &wide_queries, 1, t, 0);
             assert_eq!(report.answered, n, "wide shared ring must coordinate");
             assert_eq!(
                 report.intra_regions,

@@ -125,41 +125,21 @@ pub struct EngineConfig {
     /// size n/k sidesteps the whole-body join's quadratic atom-selection
     /// scan.
     pub intra_component_threshold: usize,
-    /// Work units of the partitioned path with at least this many atoms
-    /// are analyzed for **biconnected-region splitting**
+    /// Work/overhead crossover for **biconnected-region splitting**
     /// ([`crate::intra::split_unit`]): when the global unifier chains
     /// variables *across* bodies, the whole component can collapse into
-    /// one shared-variable work unit, and this second-level split
-    /// decomposes it along articulation variables into regions evaluated
-    /// as independent work items with an exact tree semi-join merge
-    /// (deterministic for every thread count; a solution is found iff
-    /// one exists). Set to `usize::MAX` to never split.
-    pub intra_split_min_atoms: usize,
-    /// Per-region solution-enumeration cap of the **materialized**
-    /// split path (`intra_split_streaming: false`). A region that would
-    /// exceed it makes its unit fall back to whole-unit evaluation —
-    /// the cap bounds the semi-join's memory, never completeness.
-    /// Clamped to at least 1 (a zero budget would make every region
-    /// look unsatisfiable instead of truncated). The streaming path
-    /// never materializes region solutions and ignores it.
-    pub intra_region_cap: usize,
-    /// Work/overhead crossover for the split decision: a unit that
-    /// decomposes into `r` regions actually splits only when
-    /// `atoms² ≥ crossover × r`. Per-region dispatch has a fixed cost
+    /// one shared-variable work unit of the partitioned path, and this
+    /// second-level split decomposes it along articulation variables
+    /// into regions joined by an exact, deterministic tree join (a
+    /// solution is found iff one exists). A unit of `a` atoms that
+    /// decomposes into `r` regions splits only when
+    /// `a² ≥ crossover × r`. Per-region dispatch has a fixed cost
     /// whole-unit evaluation does not pay, so small shared-variable
     /// units (≲ 600 chained queries at the default) evaluate faster
     /// whole; the combined join's quadratic atom-selection scan makes
     /// splitting win as units grow. `0` splits whenever the unit
-    /// decomposes.
+    /// decomposes; `usize::MAX` never splits.
     pub intra_split_crossover: usize,
-    /// Evaluate split units by **streaming articulation projection**
-    /// (default): regions stream their solutions and retain only
-    /// per-articulation-value witness sets, and the chosen joint answer
-    /// is re-enumerated top-down with pinned articulation values —
-    /// memory proportional to articulation width, not solution count.
-    /// `false` selects the materialized semi-join (kept as the
-    /// property-test oracle; answers are identical).
-    pub intra_split_streaming: bool,
     /// Number of independently locked **service shards** the
     /// `Coordinator` partitions its pending pool into (the engine
     /// itself ignores this; it is read once at service construction).
@@ -184,10 +164,7 @@ impl Default for EngineConfig {
             flush_threads: 1,
             incremental_partition_limit: 64,
             intra_component_threshold: 128,
-            intra_split_min_atoms: 16,
-            intra_region_cap: 4096,
             intra_split_crossover: 4096,
-            intra_split_streaming: true,
             service_shards: 1,
         }
     }
@@ -293,10 +270,9 @@ pub struct BatchReport {
     pub intra_units: usize,
     /// Work units that additionally went through shared-variable
     /// biconnected-region splitting
-    /// ([`EngineConfig::intra_split_min_atoms`]).
+    /// ([`EngineConfig::intra_split_crossover`]).
     pub intra_split_units: usize,
-    /// Biconnected regions dispatched as work items across those split
-    /// units.
+    /// Biconnected regions across those split units.
     pub intra_regions: usize,
     /// Region-local solutions consumed by the streaming
     /// articulation-projection pass across split units (bottom-up
@@ -1894,13 +1870,7 @@ fn evaluate_survivors<V: MatchView>(
     Option<IntraCounters>,
 ) {
     if survivors.len() >= config.intra_component_threshold {
-        let split = intra::SplitOptions {
-            min_atoms: config.intra_split_min_atoms,
-            region_cap: config.intra_region_cap,
-            crossover: config.intra_split_crossover,
-            streaming: config.intra_split_streaming,
-        };
-        let plan = intra::plan_component(graph, survivors, &global, &split);
+        let plan = intra::plan_component(graph, survivors, &global, config.intra_split_crossover);
         let mut counters = IntraCounters {
             units: plan.units.len(),
             split_units: plan.units.iter().filter(|u| u.regions.is_some()).count(),

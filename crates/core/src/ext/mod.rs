@@ -42,7 +42,6 @@ pub fn coordinate_choose_k(
     let mut outcome = MultiOutcome::default();
     run_components(
         queries,
-        db,
         |survivor_ids, combined, outcome| {
             let solutions = combined.evaluate(db, k)?;
             if solutions.is_empty() {
@@ -80,7 +79,6 @@ pub fn coordinate_with_preference(
     let mut outcome = MultiOutcome::default();
     run_components(
         queries,
-        db,
         |survivor_ids, combined, outcome| {
             let solutions = combined.evaluate(db, sample_limit)?;
             match solutions
@@ -109,14 +107,12 @@ pub fn coordinate_with_preference(
 /// match each component, then hand the combined query to `eval`.
 fn run_components<F>(
     queries: &[EntangledQuery],
-    db: &Database,
     mut eval: F,
     outcome: &mut MultiOutcome,
 ) -> Result<(), CoordinateError>
 where
     F: FnMut(&[QueryId], &CombinedQuery, &mut MultiOutcome) -> Result<(), CoordinateError>,
 {
-    let _ = db;
     let gen = VarGen::new();
     let mut admitted = Vec::with_capacity(queries.len());
     for (i, q) in queries.iter().enumerate() {

@@ -58,31 +58,33 @@
 //! variables are exactly the join keys between regions.
 //!
 //! Region evaluation is Yannakakis over that tree, run as a
-//! **streaming articulation projection** (the default): bottom-up,
-//! children first, each region *streams* its local solutions through
-//! `eq_db`'s visitor enumeration and retains only a witness set of
-//! parent-articulation values bound by some locally-extensible
-//! solution — memory proportional to the articulation-value domain,
-//! never to the region's solution count; the root region streams until
-//! its first extensible solution. Top-down, the one chosen joint
-//! answer is re-enumerated region by region with the parent
-//! articulation variable *pinned* to the chosen value as an equality
-//! constraint pair, stopping at the first extensible solution — which
-//! is provably the representative the materialized semi-join would
-//! keep, because constraints never influence the evaluator's join
-//! order. The result is **exact** — a solution is produced iff the
-//! unit has one — and **deterministic** (independent of thread count;
-//! the tree walk is sequential within a unit, units run in parallel),
-//! but it is the tree-join's first solution, not necessarily the one
-//! the sequential whole-unit backtracking search would find first;
-//! when a unit's solution is unique the two coincide. The older
-//! **materialized** mode ([`SplitOptions::streaming`]` = false`) —
-//! enumerate up to [`SplitOptions::region_cap`] solutions per region
-//! in parallel, semi-join the sets, fall back to whole-unit evaluation
-//! on cap overflow — is kept as the property-test oracle; streaming
-//! needs no cap and no fallback. Splitting itself is gated by a
-//! work/overhead crossover ([`SplitOptions::crossover`]): small units
-//! evaluate faster whole than through per-region dispatch.
+//! **streaming articulation projection**: bottom-up, children first,
+//! each region *streams* its local solutions through `eq_db`'s visitor
+//! enumeration and retains only a witness set of parent-articulation
+//! values bound by some locally-extensible solution — memory
+//! proportional to the articulation-value domain, never to the
+//! region's solution count; the root region streams until its first
+//! extensible solution. Top-down, the one chosen joint answer is
+//! re-enumerated region by region with the parent articulation variable
+//! *pinned* to the chosen value as an equality constraint pair, stopping
+//! at the first extensible solution — which is provably the
+//! representative a materialized semi-join (enumerate every region,
+//! then join the sets) would keep, because constraints never influence
+//! the evaluator's join order. That materialized evaluator lives in
+//! this module's tests as the oracle the streaming path is checked
+//! against, answer for answer. The result is **exact** — a solution is
+//! produced iff the unit has one — and **deterministic** (independent
+//! of thread count; the tree walk is sequential within a unit, units
+//! run in parallel), but it is the tree-join's first solution, not
+//! necessarily the one the sequential whole-unit backtracking search
+//! would find first; when a unit's solution is unique the two coincide.
+//!
+//! Splitting is gated by one work/overhead crossover
+//! ([`crate::EngineConfig::intra_split_crossover`]): a unit of `a` atoms
+//! that decomposes into `r` regions splits only when
+//! `a² ≥ crossover × r`, because small units evaluate faster whole than
+//! through per-region dispatch. Every split has `r ≥ 2`, so a unit with
+//! `a² < 2 × crossover` is not even decomposed.
 //!
 //! Components below [`crate::EngineConfig::intra_component_threshold`]
 //! never reach this module — they evaluate through the plain
@@ -99,63 +101,6 @@ use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Knobs for shared-variable work-unit splitting (see the module docs'
-/// "biconnected regions" section). Derived from
-/// [`crate::EngineConfig::intra_split_min_atoms`],
-/// [`crate::EngineConfig::intra_region_cap`],
-/// [`crate::EngineConfig::intra_split_crossover`], and
-/// [`crate::EngineConfig::intra_split_streaming`] by the engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SplitOptions {
-    /// Units with at least this many atoms are analyzed for
-    /// biconnected-region splitting; smaller units always evaluate
-    /// whole. `usize::MAX` disables splitting entirely.
-    pub min_atoms: usize,
-    /// Per-region solution-enumeration cap for the **materialized**
-    /// semi-join phase (`streaming: false`). A region that would exceed
-    /// it aborts the split and the unit falls back to whole-unit
-    /// evaluation (completeness is never at stake; the cap bounds
-    /// memory). The streaming path never materializes and ignores it.
-    pub region_cap: usize,
-    /// Work/overhead crossover for the split decision: a unit that
-    /// decomposes into `r` regions actually splits only when
-    /// `atoms² ≥ crossover × r`. Region dispatch has a fixed per-region
-    /// cost (plan walk, per-region join setup, witness bookkeeping)
-    /// that whole-unit evaluation does not pay, so small units — where
-    /// the combined join's quadratic atom-selection scan is still cheap
-    /// — evaluate faster whole (measured crossover ≈ n=600..1200 chain
-    /// queries; see the README scaling guide). `0` always splits.
-    pub crossover: usize,
-    /// Evaluate split units by **streaming articulation projection**
-    /// (bottom-up witness maps + top-down pinned re-enumeration; memory
-    /// bounded by articulation-domain width) instead of materializing
-    /// each region's solutions for the semi-join. The materialized path
-    /// is kept as the property-test oracle the streaming path is
-    /// checked against, answer for answer.
-    pub streaming: bool,
-}
-
-impl Default for SplitOptions {
-    fn default() -> Self {
-        SplitOptions {
-            min_atoms: 16,
-            region_cap: 4096,
-            crossover: 4096,
-            streaming: true,
-        }
-    }
-}
-
-impl SplitOptions {
-    /// Splitting disabled: every unit evaluates whole.
-    pub fn disabled() -> Self {
-        SplitOptions {
-            min_atoms: usize::MAX,
-            ..Default::default()
-        }
-    }
-}
-
 /// One independently evaluable piece of a combined query: a maximal
 /// variable-connected sub-conjunction of the simplified body, plus the
 /// constraints over its variables.
@@ -167,10 +112,9 @@ pub struct WorkUnit {
     pub atoms: Vec<Atom>,
     /// Simplified constraints whose variables belong to this unit.
     pub constraints: Vec<Constraint>,
-    /// Biconnected-region decomposition, present when the unit met
-    /// [`SplitOptions::min_atoms`] and actually decomposes (≥ 2
-    /// regions). `atoms`/`constraints` stay authoritative — the region
-    /// path falls back to them on enumeration overflow.
+    /// Biconnected-region decomposition, present when the unit
+    /// decomposes (≥ 2 regions) and passes the split crossover gate
+    /// (see [`plan_component`]).
     pub regions: Option<RegionPlan>,
 }
 
@@ -182,14 +126,6 @@ pub struct RegionPlan {
     /// Regions in deterministic order (by first atom of the region in
     /// the unit's body order). Region 0 is the tree root.
     pub regions: Vec<Region>,
-    /// The [`SplitOptions::region_cap`] in force when the plan was
-    /// built; in materialized mode, a region whose enumeration reaches
-    /// it aborts the split at evaluation time. Ignored when streaming.
-    pub region_cap: usize,
-    /// Evaluate by streaming articulation projection (the default)
-    /// instead of the materialized semi-join; see
-    /// [`SplitOptions::streaming`].
-    pub streaming: bool,
 }
 
 /// One biconnected region: a sub-conjunction that overlaps the rest of
@@ -264,14 +200,18 @@ impl VarUnion {
 /// global unifier, over any [`MatchView`]. The flat concatenation of
 /// `ground_atoms` and every unit's `atoms` is a permutation of the
 /// combined query's body; likewise for constraints; `heads` is
-/// identical to the combined query's. Units meeting
-/// [`SplitOptions::min_atoms`] additionally carry their
-/// biconnected-region decomposition ([`split_unit`]) when one exists.
+/// identical to the combined query's.
+///
+/// A unit of `a` atoms additionally carries its biconnected-region
+/// decomposition ([`split_unit`]) into `r` regions when
+/// `a² ≥ crossover × r`, the gate of
+/// [`crate::EngineConfig::intra_split_crossover`]: `0` splits every
+/// unit that decomposes; `usize::MAX` never splits.
 pub fn plan_component<V: MatchView>(
     graph: &V,
     survivors: &[u32],
     global: &Unifier,
-    split: &SplitOptions,
+    crossover: usize,
 ) -> ComponentPlan {
     // One shared simplification with the sequential path — the
     // answer-equivalence guarantee requires byte-identical inputs.
@@ -341,22 +281,12 @@ pub fn plan_component<V: MatchView>(
     }
 
     for unit in &mut units {
-        if unit.atoms.len() >= split.min_atoms {
-            unit.regions = split_unit(unit, split.region_cap).and_then(|mut rp| {
-                // Work/overhead crossover gate: per-region dispatch has
-                // a fixed cost that whole-unit evaluation doesn't pay,
-                // so small units evaluate faster whole. The unit's
-                // whole-evaluation cost scales with atoms² (the greedy
-                // atom-selection scan alone is quadratic); the split's
-                // overhead scales with the region count.
-                let a = unit.atoms.len();
-                if a.saturating_mul(a) >= split.crossover.saturating_mul(rp.regions.len()) {
-                    rp.streaming = split.streaming;
-                    Some(rp)
-                } else {
-                    None
-                }
-            });
+        let work = unit.atoms.len().saturating_mul(unit.atoms.len());
+        // Every split has at least two regions, so a unit below
+        // `2 × crossover` cannot pass the gate: skip the decomposition.
+        if work >= crossover.saturating_mul(2) {
+            unit.regions =
+                split_unit(unit).filter(|rp| work >= crossover.saturating_mul(rp.regions.len()));
         }
     }
 
@@ -378,7 +308,7 @@ pub fn plan_component<V: MatchView>(
 /// constraint spans regions and no region could enforce it, so the
 /// unit evaluates whole).
 ///
-/// Guarantees, relied on by [`evaluate_plan`]'s semi-join merge:
+/// Guarantees, relied on by [`evaluate_plan`]'s tree join:
 ///
 /// * every **multi-variable** atom/constraint lands in exactly one
 ///   region (a clique is biconnected, so all of its variables share
@@ -397,16 +327,8 @@ pub fn plan_component<V: MatchView>(
 /// * every tree-edge articulation variable is **atom-anchored** in both
 ///   endpoint regions (bound by every region-local solution, so the
 ///   merge can always key on it) — units violating this refuse to
-///   split;
-/// * `region_cap` is at least 1, so an empty region enumeration means
-///   a genuinely unsatisfiable region, never a zero-budget truncation
-///   (materialized mode; the streaming path has no cap).
-pub fn split_unit(unit: &WorkUnit, region_cap: usize) -> Option<RegionPlan> {
-    // A zero cap would make every region look empty (= unsatisfiable)
-    // instead of truncated; clamp so "no solutions" keeps meaning
-    // exactly that and cap overflow still falls back to whole-unit
-    // evaluation.
-    let region_cap = region_cap.max(1);
+///   split.
+pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
     // Variables in first-occurrence order (atoms, then constraints).
     let mut var_id: FastMap<Var, usize> = FastMap::default();
     let mut vars: Vec<Var> = Vec::new();
@@ -603,7 +525,7 @@ pub fn split_unit(unit: &WorkUnit, region_cap: usize) -> Option<RegionPlan> {
     // identically wherever it is checked, so replication is sound, and
     // it keeps every region anchored — a region whose only selective
     // atom sat across the articulation boundary would otherwise
-    // enumerate an unfiltered cross product and blow the cap.
+    // enumerate an unfiltered cross product.
     for (ai, vs) in atom_vars.iter().enumerate() {
         if vs.len() >= 2 {
             let r = new_id[raw_block(vs)?];
@@ -682,11 +604,7 @@ pub fn split_unit(unit: &WorkUnit, region_cap: usize) -> Option<RegionPlan> {
         }
     }
 
-    Some(RegionPlan {
-        regions,
-        region_cap,
-        streaming: true,
-    })
+    Some(RegionPlan { regions })
 }
 
 /// Outcome of one work unit's `LIMIT 1` evaluation.
@@ -701,31 +619,6 @@ enum UnitResult {
     Skipped,
 }
 
-/// One claimable piece of a plan's parallel phase: a whole (unsplit)
-/// unit, one biconnected region of a materialized-mode split unit, or
-/// one entire streaming-mode split unit (the streaming tree walk is
-/// sequential within a unit — that's what makes it deterministic — so
-/// the unit is the parallelism grain).
-#[derive(Clone, Copy)]
-enum WorkItem<'a> {
-    Unit(usize),
-    Region(usize, usize, &'a RegionPlan),
-    SplitUnit(usize, &'a RegionPlan),
-}
-
-/// Result of one [`WorkItem`].
-enum ItemResult {
-    Unit(UnitResult),
-    /// A region's enumerated solutions (up to the plan's cap; a full
-    /// cap'-worth means possibly truncated and triggers the whole-unit
-    /// fallback). Materialized mode only.
-    Region(Vec<Valuation>),
-    /// A streaming split unit's outcome plus its counters: solutions
-    /// streamed through the witness pass, and the peak witness-map
-    /// size (entries in any single region's articulation-value map).
-    Split(UnitResult, u64, u64),
-}
-
 /// Evaluation counters for one plan, surfaced through
 /// `BatchReport::{intra_region_streamed, intra_witness_peak}`: how many
 /// region-local solutions the streaming articulation-projection pass
@@ -735,10 +628,9 @@ enum ItemResult {
 /// the region's solution count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Region-local solutions consumed by streaming split units.
+    /// Region-local solutions consumed by split units.
     pub region_streamed: u64,
-    /// Peak per-region witness-map entry count across streaming split
-    /// units.
+    /// Peak per-region witness-map entry count across split units.
     pub witness_peak: u64,
 }
 
@@ -752,11 +644,12 @@ pub fn evaluate_plan(
     evaluate_plan_with_stats(plan, db, threads).map(|(answers, _)| answers)
 }
 
-/// Evaluates a plan against `db`, dispatching work items — whole
-/// units, streaming split units, or the biconnected regions of
-/// materialized-mode split units — on up to `threads` scoped workers
-/// (largest item first; sizes are heavy-tailed when the global unifier
-/// merged some variables).
+/// Evaluates a plan against `db`, dispatching its work units — whole
+/// or split — on up to `threads` scoped workers (largest unit first;
+/// sizes are heavy-tailed when the global unifier merged some
+/// variables). A split unit's tree walk is sequential within the unit —
+/// that is what makes it deterministic — so the unit is the parallelism
+/// grain.
 ///
 /// Returns the component's first coordinated solution — one
 /// [`QueryAnswer`] per survivor, in survivor order — or `None` when any
@@ -769,10 +662,10 @@ pub fn evaluate_plan(
 /// block-cut tree join's first solution instead — still a solution iff
 /// the sequential path finds one, still deterministic in the plan and
 /// database for every `threads` value, but not necessarily the same
-/// valuation unless the unit's solution is unique. Streaming and
-/// materialized modes agree answer-for-answer (property-tested): the
-/// pinned re-enumeration picks exactly the representative the
-/// materialized semi-join would have kept.
+/// valuation unless the unit's solution is unique. The module's tests
+/// check split units answer-for-answer against a materialized
+/// semi-join oracle: the pinned re-enumeration picks exactly the
+/// representative that semi-join keeps.
 pub fn evaluate_plan_with_stats(
     plan: &ComponentPlan,
     db: &Database,
@@ -813,119 +706,30 @@ pub fn evaluate_plan_with_stats(
         return Ok((Some(distribute_heads(&plan.heads, &empty)), stats));
     }
 
-    // Build the claimable work items: whole units; one item per
-    // biconnected region for materialized-mode split units; one item
-    // per whole split unit in streaming mode (its internal tree walk is
-    // sequential — determinism — but distinct units still run in
-    // parallel). Items run largest-first on the shared worker pool; the
-    // stop flag bails out of remaining claims as soon as any unit or
-    // region proves unsatisfiable — a region with zero local solutions
-    // makes its whole unit (hence the component) unsatisfiable.
-    let mut items: Vec<WorkItem> = Vec::new();
-    for (u, unit) in plan.units.iter().enumerate() {
-        match &unit.regions {
-            Some(rp) if rp.streaming => items.push(WorkItem::SplitUnit(u, rp)),
-            Some(rp) => items.extend((0..rp.regions.len()).map(|r| WorkItem::Region(u, r, rp))),
-            None => items.push(WorkItem::Unit(u)),
-        }
-    }
-    let item_size = |item: &WorkItem| match *item {
-        WorkItem::Unit(u) | WorkItem::SplitUnit(u, _) => plan.units[u].atoms.len(),
-        WorkItem::Region(_, r, rp) => rp.regions[r].atoms.len(),
-    };
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(item_size(&items[i])));
+    // Units run largest-first on the shared worker pool; the stop flag
+    // bails out of remaining claims as soon as any unit proves
+    // unsatisfiable — a split unit is unsatisfiable as soon as one of
+    // its regions is.
+    let mut order: Vec<usize> = (0..plan.units.len()).collect();
+    order.sort_by_key(|&u| std::cmp::Reverse(plan.units[u].atoms.len()));
     let failed = AtomicBool::new(false);
-    let produced = pool::parallel_claim(&order, threads, Some(&failed), |idx| match items[idx] {
-        WorkItem::Unit(u) => {
-            let r = evaluate_unit(&plan.units[u], db);
-            if matches!(r, UnitResult::Unsat) {
-                failed.store(true, Ordering::Relaxed);
-            }
-            ItemResult::Unit(r)
+    let produced = pool::parallel_claim(&order, threads, Some(&failed), |u| {
+        let unit = &plan.units[u];
+        let (result, streamed, peak) = match &unit.regions {
+            Some(rp) => stream_unit(rp, db),
+            None => (evaluate_unit(unit, db), 0, 0),
+        };
+        if matches!(result, UnitResult::Unsat) {
+            failed.store(true, Ordering::Relaxed);
         }
-        WorkItem::SplitUnit(_, rp) => {
-            let (r, streamed, peak) = stream_unit(rp, db);
-            if matches!(r, UnitResult::Unsat) {
-                failed.store(true, Ordering::Relaxed);
-            }
-            ItemResult::Split(r, streamed, peak)
-        }
-        WorkItem::Region(_, r, rp) => {
-            let region = &rp.regions[r];
-            let sols = db
-                .evaluate_filtered(&region.atoms, &region.constraints, rp.region_cap)
-                // Unreachable after the up-front whole-unit validation;
-                // treat like an unsatisfiable region defensively.
-                .unwrap_or_default();
-            if sols.is_empty() {
-                failed.store(true, Ordering::Relaxed);
-            }
-            ItemResult::Region(sols)
-        }
+        (result, streamed, peak)
     });
     let mut unit_results: Vec<UnitResult> = Vec::with_capacity(plan.units.len());
     unit_results.resize_with(plan.units.len(), || UnitResult::Skipped);
-    let mut region_sols: FastMap<(usize, usize), Vec<Valuation>> = FastMap::default();
-    for (idx, result) in produced {
-        match (items[idx], result) {
-            (WorkItem::Unit(u), ItemResult::Unit(res)) => unit_results[u] = res,
-            (WorkItem::SplitUnit(u, _), ItemResult::Split(res, streamed, peak)) => {
-                unit_results[u] = res;
-                stats.region_streamed += streamed;
-                stats.witness_peak = stats.witness_peak.max(peak);
-            }
-            (WorkItem::Region(u, r, _), ItemResult::Region(sols)) => {
-                region_sols.insert((u, r), sols);
-            }
-            // Item kinds are fixed per index; a mismatch cannot happen,
-            // and ignoring one degrades to Skipped (= no solution).
-            _ => {}
-        }
-    }
-
-    // Sequential merge pass: materialized split units go through the
-    // tree semi-join (falling back to whole-unit evaluation when a
-    // region hit the enumeration cap); streaming units already carry
-    // their result. An Unsat or Skipped anything means the component
-    // has no solution this round.
-    for (u, unit) in plan.units.iter().enumerate() {
-        let Some(rp) = &unit.regions else { continue };
-        if rp.streaming {
-            continue;
-        }
-        let mut sols: Vec<Vec<Valuation>> = Vec::with_capacity(rp.regions.len());
-        let mut missing = false;
-        let mut truncated = false;
-        for r in 0..rp.regions.len() {
-            match region_sols.remove(&(u, r)) {
-                Some(s) => {
-                    truncated |= s.len() >= rp.region_cap;
-                    sols.push(s);
-                }
-                None => {
-                    // Skipped via the stop flag: something else already
-                    // proved the component unsatisfiable.
-                    missing = true;
-                    break;
-                }
-            }
-        }
-        unit_results[u] = if missing {
-            UnitResult::Skipped
-        } else if sols.iter().any(|s| s.is_empty()) {
-            UnitResult::Unsat
-        } else if truncated {
-            // A region may have overflowed the cap: the semi-join could
-            // miss keys, so evaluate the unit whole (complete, and the
-            // same deterministic path the unsplit plan takes).
-            evaluate_unit(unit, db)
-        } else {
-            match semijoin_merge(rp, &sols) {
-                Some(val) => UnitResult::Sat(val),
-                None => UnitResult::Unsat,
-            }
-        };
+    for (u, (result, streamed, peak)) in produced {
+        unit_results[u] = result;
+        stats.region_streamed += streamed;
+        stats.witness_peak = stats.witness_peak.max(peak);
     }
 
     let mut merged = Valuation::default();
@@ -943,8 +747,8 @@ pub fn evaluate_plan_with_stats(
     Ok((Some(distribute_heads(&plan.heads, &merged)), stats))
 }
 
-/// Streaming articulation-projection evaluation of one split unit (the
-/// default mode; see the module docs). **Bottom-up**, children first:
+/// Streaming articulation-projection evaluation of one split unit (see
+/// the module docs). **Bottom-up**, children first:
 /// each non-root region streams its local solutions through
 /// [`Database::evaluate_visit`] and retains only a **witness set** of
 /// parent-articulation values bound by some locally-extensible solution
@@ -959,9 +763,9 @@ pub fn evaluate_plan_with_stats(
 /// evaluator's join order (`choose_atom` inspects only bindings), so
 /// the pinned search enumerates exactly the subsequence of the
 /// region's solutions binding that value, in the region's own order —
-/// its first extensible hit is precisely the representative the
-/// materialized [`semijoin_merge`] keeps, which is why the two modes
-/// agree answer for answer (property-tested).
+/// its first extensible hit is precisely the representative a
+/// materialized semi-join keeps, which is why the two agree answer for
+/// answer (property-tested against the oracle in this module's tests).
 ///
 /// As a constraint-aware refinement, a child whose witness set kept
 /// exactly one value is **pushed down** into the parent's enumeration
@@ -1039,7 +843,7 @@ fn stream_unit(rp: &RegionPlan, db: &Database) -> (UnitResult, u64, u64) {
                         // for an unseen key (a later extensible solution
                         // may carry a key an earlier inextensible one
                         // did), and is skipped once the key is in — the
-                        // exact key set the materialized semi-join keeps.
+                        // exact key set a materialized semi-join keeps.
                         if !keys.contains(&key) && extensible(region, sol, &feasible) {
                             keys.insert(key);
                         }
@@ -1136,88 +940,6 @@ fn stream_unit(rp: &RegionPlan, db: &Database) -> (UnitResult, u64, u64) {
     (UnitResult::Sat(merged), streamed, peak)
 }
 
-/// The exact tree semi-join over a split unit's block-cut tree (see
-/// the module docs): bottom-up, keep per value of each region's parent
-/// articulation variable the first locally-enumerated solution every
-/// child can extend; top-down, glue the chosen representatives.
-/// Returns `None` iff the unit has no solution (given un-truncated
-/// region enumerations). Materialized mode only — kept as the oracle
-/// the streaming path ([`stream_unit`]) is property-tested against.
-fn semijoin_merge(rp: &RegionPlan, sols: &[Vec<Valuation>]) -> Option<Valuation> {
-    let n = rp.regions.len();
-    // Pre-order from the root; processing it in reverse visits children
-    // before parents.
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut stack = vec![0usize];
-    while let Some(r) = stack.pop() {
-        order.push(r);
-        stack.extend(&rp.regions[r].children);
-    }
-    debug_assert_eq!(order.len(), n);
-
-    // For non-root regions: parent-variable value → index of the first
-    // extensible local solution. For the root: the index itself.
-    let mut feasible: Vec<FastMap<Value, usize>> = Vec::with_capacity(n);
-    feasible.resize_with(n, FastMap::default);
-    let mut root_choice: Option<usize> = None;
-    for &r in order.iter().rev() {
-        let region = &rp.regions[r];
-        let extensible = |sol: &Valuation| {
-            region.children.iter().all(|&c| {
-                // A walked child always has a parent edge; a missing
-                // one means a malformed tree — treat as inextensible.
-                let Some(v) = rp.regions[c].parent_var else {
-                    return false;
-                };
-                sol.get(&v)
-                    .is_some_and(|value| feasible[c].contains_key(value))
-            })
-        };
-        match region.parent_var {
-            Some(pv) => {
-                let mut map = FastMap::default();
-                for (si, sol) in sols[r].iter().enumerate() {
-                    if !extensible(sol) {
-                        continue;
-                    }
-                    // Anchoring (split_unit) guarantees region atoms
-                    // bind the articulation variable; skip defensively
-                    // otherwise.
-                    let Some(&key) = sol.get(&pv) else { continue };
-                    map.entry(key).or_insert(si);
-                }
-                if map.is_empty() {
-                    return None; // no child binding survives: unit unsat
-                }
-                feasible[r] = map;
-            }
-            None => {
-                root_choice = Some(sols[r].iter().position(extensible)?);
-            }
-        }
-    }
-
-    // Top-down reconstruction: every lookup hits by construction (the
-    // `?` arms are defensive against a malformed tree and read "no
-    // solution" rather than panicking).
-    let root_si = root_choice?;
-    let mut merged = Valuation::default();
-    let mut walk = vec![(0usize, root_si)];
-    while let Some((r, si)) = walk.pop() {
-        let sol = sols.get(r)?.get(si)?;
-        for (&v, &value) in sol.iter() {
-            merged.insert(v, value);
-        }
-        for &c in &rp.regions[r].children {
-            let pv = rp.regions[c].parent_var?;
-            let key = sol.get(&pv)?;
-            let si = *feasible[c].get(key)?;
-            walk.push((c, si));
-        }
-    }
-    Some(merged)
-}
-
 fn evaluate_unit(unit: &WorkUnit, db: &Database) -> UnitResult {
     match db.evaluate_filtered(&unit.atoms, &unit.constraints, 1) {
         Ok(vals) => match vals.into_iter().next() {
@@ -1277,7 +999,8 @@ mod tests {
     fn plan_for(g: &MatchGraph, members: &[u32]) -> (ComponentPlan, CombinedQuery) {
         let m = match_component(g, members);
         let global = m.global.expect("answerable");
-        let plan = plan_component(g, &m.survivors, &global, &SplitOptions::default());
+        let crossover = crate::EngineConfig::default().intra_split_crossover;
+        let plan = plan_component(g, &m.survivors, &global, crossover);
         let cq = CombinedQuery::build(g, &m.survivors, global.clone());
         (plan, cq)
     }
@@ -1386,7 +1109,7 @@ mod tests {
         // x0—x1—x2—x3: every interior variable is an articulation
         // point, so each edge atom is its own region.
         let unit = raw_unit(vec![e(vx(0), vx(1)), e(vx(1), vx(2)), e(vx(2), vx(3))]);
-        let rp = split_unit(&unit, 64).expect("chain splits");
+        let rp = split_unit(&unit).expect("chain splits");
         assert_eq!(rp.regions.len(), 3);
         // Root is the region of the first atom; children chain off it
         // keyed by the shared articulation variable.
@@ -1404,7 +1127,7 @@ mod tests {
     fn cycle_unit_does_not_split() {
         // x0—x1—x2—x0 is 2-connected: one block, no articulation vars.
         let unit = raw_unit(vec![e(vx(0), vx(1)), e(vx(1), vx(2)), e(vx(2), vx(0))]);
-        assert!(split_unit(&unit, 64).is_none());
+        assert!(split_unit(&unit).is_none());
     }
 
     #[test]
@@ -1414,7 +1137,7 @@ mod tests {
             e(vx(1), vx(2)),
             Atom::new("E", vec![vx(1), Term::int(7)]), // only var x1
         ]);
-        let rp = split_unit(&unit, 64).expect("splits at x1");
+        let rp = split_unit(&unit).expect("splits at x1");
         assert_eq!(rp.regions.len(), 2);
         // x1 is the articulation variable: its single-var atom anchors
         // *both* regions (replication is sound — same conjunct, same
@@ -1434,7 +1157,7 @@ mod tests {
             constraints: vec![Constraint::new(vx(1), CmpOp::Lt, vx(2))],
             regions: None,
         };
-        assert!(split_unit(&unit, 64).is_none());
+        assert!(split_unit(&unit).is_none());
         // A multi-variable constraint *inside* a cluster is fine: its
         // clique edge coincides with an atom's, so its block is a real
         // region and the split goes through.
@@ -1443,35 +1166,48 @@ mod tests {
             constraints: vec![Constraint::new(vx(0), CmpOp::Lt, vx(1))],
             regions: None,
         };
-        let rp = split_unit(&unit, 64).expect("in-cluster constraint splits");
+        let rp = split_unit(&unit).expect("in-cluster constraint splits");
         assert_eq!(rp.regions.len(), 2);
         assert_eq!(rp.regions[0].constraints.len(), 1);
     }
 
+    /// Plans a one-query component whose body is `fan` parallel atoms
+    /// over `{x, y}` plus one pendant atom over `{y, z}`: a
+    /// `fan + 1`-atom unit that decomposes into exactly two regions,
+    /// the most favourable shape for the crossover gate.
+    fn two_region_plan(fan: usize, crossover: usize) -> ComponentPlan {
+        let mut body: Vec<String> = (0..fan).map(|i| format!("E(x, y, {i})")).collect();
+        body.push("E(y, z, 0)".to_string());
+        let g = build(&[&format!("{{}} R(x) <- {}", body.join(", "))]);
+        let m = match_component(&g, &[0]);
+        plan_component(&g, &m.survivors, &m.global.expect("answerable"), crossover)
+    }
+
     #[test]
-    fn zero_region_cap_is_clamped_not_unsat() {
-        // Materialized mode: region_cap 0 must not reclassify every
-        // region as unsatisfiable; it clamps to 1, so overflowing
-        // regions fall back to whole-unit evaluation and the answer
-        // survives.
-        let db = split_db();
-        let atoms = vec![
-            Atom::new("A", vec![vx(0), vx(1)]),
-            Atom::new("B", vec![vx(0), vx(2)]),
-        ];
-        let mut unit = raw_unit(atoms);
-        unit.regions = split_unit(&unit, 0);
-        let rp = unit.regions.as_mut().expect("still splits");
-        rp.streaming = false;
-        assert_eq!(rp.region_cap, 1);
-        let plan = ComponentPlan {
-            units: vec![unit],
-            ground_atoms: vec![],
-            ground_constraints: vec![],
-            heads: vec![(QueryId(0), vec![Atom::new("H", vec![vx(0)])])],
+    fn crossover_gate_keeps_small_units_whole() {
+        let regions = |plan: ComponentPlan| {
+            assert_eq!(plan.units.len(), 1);
+            plan.units[0].regions.as_ref().map(|rp| rp.regions.len())
         };
-        let answers = evaluate_plan(&plan, &db, 2).unwrap().expect("satisfiable");
-        assert_eq!(answers[0].tuples[0], vec![Value::int(2)]);
+        // Default crossover: every unit up to 90 atoms stays whole
+        // (90² < 2 × 4096), which covers the sizes a 16-atom minimum
+        // used to exclude; at 91 atoms two regions pass the gate.
+        let default = crate::EngineConfig::default().intra_split_crossover;
+        assert_eq!(default, 4096);
+        for atoms in 2..=90 {
+            assert_eq!(
+                regions(two_region_plan(atoms - 1, default)),
+                None,
+                "{atoms} atoms"
+            );
+        }
+        assert_eq!(regions(two_region_plan(90, default)), Some(2));
+        // Crossover 0 splits the smallest decomposing unit.
+        assert_eq!(regions(two_region_plan(1, 0)), Some(2));
+        // usize::MAX never splits.
+        for fan in [1, 90, 500] {
+            assert_eq!(regions(two_region_plan(fan, usize::MAX)), None);
+        }
     }
 
     fn split_db() -> Database {
@@ -1487,17 +1223,9 @@ mod tests {
 
     /// A plan whose single unit is pre-split, with one head atom that
     /// exposes the merged valuation as a grounded tuple.
-    fn split_plan(
-        atoms: Vec<Atom>,
-        head_vars: &[u32],
-        cap: usize,
-        streaming: bool,
-    ) -> ComponentPlan {
+    fn split_plan(atoms: Vec<Atom>, head_vars: &[u32]) -> ComponentPlan {
         let mut unit = raw_unit(atoms);
-        unit.regions = split_unit(&unit, cap).map(|mut rp| {
-            rp.streaming = streaming;
-            rp
-        });
+        unit.regions = split_unit(&unit);
         assert!(unit.regions.is_some(), "test unit must split");
         let head = Atom::new("H", head_vars.iter().map(|&i| vx(i)).collect::<Vec<_>>());
         ComponentPlan {
@@ -1508,31 +1236,122 @@ mod tests {
         }
     }
 
+    /// The exact tree semi-join over a split unit's block-cut tree (see
+    /// the module docs): bottom-up, keep per value of each region's
+    /// parent articulation variable the first locally-enumerated
+    /// solution every child can extend; top-down, glue the chosen
+    /// representatives. Returns `None` iff the unit has no solution.
+    fn semijoin_merge(rp: &RegionPlan, sols: &[Vec<Valuation>]) -> Option<Valuation> {
+        let n = rp.regions.len();
+        // Pre-order from the root; processing it in reverse visits
+        // children before parents.
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let mut stack = vec![0usize];
+        while let Some(r) = stack.pop() {
+            order.push(r);
+            stack.extend(&rp.regions[r].children);
+        }
+        assert_eq!(order.len(), n);
+
+        // For non-root regions: parent-variable value → index of the
+        // first extensible local solution. For the root: the index
+        // itself.
+        let mut feasible: Vec<FastMap<Value, usize>> = vec![FastMap::default(); n];
+        let mut root_choice: Option<usize> = None;
+        for &r in order.iter().rev() {
+            let region = &rp.regions[r];
+            let extensible = |sol: &Valuation| {
+                region.children.iter().all(|&c| {
+                    let v = rp.regions[c].parent_var.expect("child has a parent edge");
+                    sol.get(&v)
+                        .is_some_and(|value| feasible[c].contains_key(value))
+                })
+            };
+            match region.parent_var {
+                Some(pv) => {
+                    let mut map = FastMap::default();
+                    for (si, sol) in sols[r].iter().enumerate() {
+                        if extensible(sol) {
+                            map.entry(sol[&pv]).or_insert(si);
+                        }
+                    }
+                    if map.is_empty() {
+                        return None; // no child binding survives: unit unsat
+                    }
+                    feasible[r] = map;
+                }
+                None => root_choice = Some(sols[r].iter().position(extensible)?),
+            }
+        }
+
+        let mut merged = Valuation::default();
+        let mut walk = vec![(0usize, root_choice?)];
+        while let Some((r, si)) = walk.pop() {
+            let sol = &sols[r][si];
+            merged.extend(sol.iter().map(|(&v, &value)| (v, value)));
+            for &c in &rp.regions[r].children {
+                let pv = rp.regions[c].parent_var.expect("child has a parent edge");
+                walk.push((c, feasible[c][&sol[&pv]]));
+            }
+        }
+        Some(merged)
+    }
+
+    /// The materialized oracle the streaming path is checked against:
+    /// every region of a split unit is enumerated in full and the sets
+    /// are merged by [`semijoin_merge`]; unsplit units take their first
+    /// solution. Ground residue is out of scope (the tests build none).
+    fn materialized_answers(plan: &ComponentPlan, db: &Database) -> Option<Vec<QueryAnswer>> {
+        assert!(plan.ground_atoms.is_empty() && plan.ground_constraints.is_empty());
+        let mut merged = Valuation::default();
+        for unit in &plan.units {
+            let solution = match &unit.regions {
+                Some(rp) => {
+                    let sols: Vec<Vec<Valuation>> = rp
+                        .regions
+                        .iter()
+                        .map(|r| {
+                            db.evaluate_filtered(&r.atoms, &r.constraints, usize::MAX)
+                                .unwrap()
+                        })
+                        .collect();
+                    semijoin_merge(rp, &sols)?
+                }
+                None => db
+                    .evaluate_filtered(&unit.atoms, &unit.constraints, 1)
+                    .unwrap()
+                    .into_iter()
+                    .next()?,
+            };
+            merged.extend(solution);
+        }
+        Some(distribute_heads(&plan.heads, &merged))
+    }
+
     #[test]
     fn semijoin_rejects_locally_first_but_globally_infeasible_choices() {
         // Region A(x,y) enumerates x=1 first, but region B(x,z) only
         // admits x=2: the merge must pick A's second solution, not
-        // fail or return an inconsistent pair — in both modes.
+        // fail or return an inconsistent pair — streamed and in the
+        // materialized oracle alike.
         let db = split_db();
-        for streaming in [true, false] {
-            let plan = split_plan(
-                vec![
-                    Atom::new("A", vec![vx(0), vx(1)]),
-                    Atom::new("B", vec![vx(0), vx(2)]),
-                ],
-                &[0, 1, 2],
-                64,
-                streaming,
+        let plan = split_plan(
+            vec![
+                Atom::new("A", vec![vx(0), vx(1)]),
+                Atom::new("B", vec![vx(0), vx(2)]),
+            ],
+            &[0, 1, 2],
+        );
+        let oracle = materialized_answers(&plan, &db).expect("x=2 is consistent");
+        assert_eq!(
+            oracle[0].tuples[0],
+            vec![Value::int(2), Value::int(20), Value::int(30)]
+        );
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                evaluate_plan(&plan, &db, threads).unwrap().as_ref(),
+                Some(&oracle)
             );
-            for threads in [1, 2, 4] {
-                let answers = evaluate_plan(&plan, &db, threads)
-                    .unwrap()
-                    .expect("x=2 is consistent");
-                assert_eq!(
-                    answers[0].tuples[0],
-                    vec![Value::int(2), Value::int(20), Value::int(30)]
-                );
-            }
         }
     }
 
@@ -1541,38 +1360,15 @@ mod tests {
         let mut db = split_db();
         // Remove B's only row: the B region enumerates nothing.
         db.delete("B", &[Value::int(2), Value::int(30)]).unwrap();
-        for streaming in [true, false] {
-            let plan = split_plan(
-                vec![
-                    Atom::new("A", vec![vx(0), vx(1)]),
-                    Atom::new("B", vec![vx(0), vx(2)]),
-                ],
-                &[0],
-                64,
-                streaming,
-            );
-            assert_eq!(evaluate_plan(&plan, &db, 2).unwrap(), None);
-        }
-    }
-
-    #[test]
-    fn region_cap_overflow_falls_back_to_whole_unit_evaluation() {
-        // Materialized mode, cap 1 < the A region's 2 solutions: the
-        // split aborts and the unit evaluates whole — same first answer
-        // as the plain path. (Streaming mode has no cap to overflow.)
-        let db = split_db();
-        let atoms = vec![
-            Atom::new("A", vec![vx(0), vx(1)]),
-            Atom::new("B", vec![vx(0), vx(2)]),
-        ];
-        let plan = split_plan(atoms.clone(), &[0, 1, 2], 1, false);
-        let whole = db.evaluate_filtered(&atoms, &[], 1).unwrap();
-        let answers = evaluate_plan(&plan, &db, 2).unwrap().expect("satisfiable");
-        let expect: Vec<Value> = [Var(0), Var(1), Var(2)]
-            .iter()
-            .map(|v| whole[0][v])
-            .collect();
-        assert_eq!(answers[0].tuples[0], expect);
+        let plan = split_plan(
+            vec![
+                Atom::new("A", vec![vx(0), vx(1)]),
+                Atom::new("B", vec![vx(0), vx(2)]),
+            ],
+            &[0],
+        );
+        assert_eq!(evaluate_plan(&plan, &db, 2).unwrap(), None);
+        assert_eq!(materialized_answers(&plan, &db), None);
     }
 
     #[test]
@@ -1589,25 +1385,25 @@ mod tests {
         let head_vars: Vec<u32> = (0..13).collect();
         let whole = db.evaluate_filtered(&atoms, &[], 1).unwrap();
         let expect: Vec<Value> = (0..13).map(|i| whole[0][&Var(i)]).collect();
-        for streaming in [true, false] {
-            let plan = split_plan(atoms.clone(), &head_vars, 64, streaming);
-            assert_eq!(
-                plan.units[0].regions.as_ref().unwrap().regions.len(),
-                12,
-                "every interior variable is an articulation point"
-            );
-            for threads in [1, 3, 8] {
-                let answers = evaluate_plan(&plan, &db, threads).unwrap().unwrap();
-                assert_eq!(answers[0].tuples[0], expect, "chain solution is unique");
-            }
+        let plan = split_plan(atoms, &head_vars);
+        assert_eq!(
+            plan.units[0].regions.as_ref().unwrap().regions.len(),
+            12,
+            "every interior variable is an articulation point"
+        );
+        let oracle = materialized_answers(&plan, &db).unwrap();
+        assert_eq!(oracle[0].tuples[0], expect, "chain solution is unique");
+        for threads in [1, 3, 8] {
+            let answers = evaluate_plan(&plan, &db, threads).unwrap().unwrap();
+            assert_eq!(answers[0].tuples[0], expect, "chain solution is unique");
         }
     }
 
     #[test]
     fn streaming_matches_materialized_answer_for_answer() {
         // Many locally-valid keys per region, several of them globally
-        // consistent: both modes must pick the *same* representative
-        // (the pinned re-enumeration provably reproduces the
+        // consistent: streaming must pick the *same* representative as
+        // the oracle (the pinned re-enumeration provably reproduces the
         // materialized semi-join's per-key first choice).
         let mut db = Database::new();
         db.create_table("A", &["x", "y"]).unwrap();
@@ -1624,17 +1420,92 @@ mod tests {
                     .unwrap();
             }
         }
-        let atoms = vec![
-            Atom::new("A", vec![vx(0), vx(1)]),
-            Atom::new("B", vec![vx(0), vx(2)]),
-        ];
-        let streaming = split_plan(atoms.clone(), &[0, 1, 2], 4096, true);
-        let materialized = split_plan(atoms, &[0, 1, 2], 4096, false);
+        let plan = split_plan(
+            vec![
+                Atom::new("A", vec![vx(0), vx(1)]),
+                Atom::new("B", vec![vx(0), vx(2)]),
+            ],
+            &[0, 1, 2],
+        );
+        let oracle = materialized_answers(&plan, &db);
+        assert!(oracle.is_some());
         for threads in [1, 2, 4] {
-            let s = evaluate_plan(&streaming, &db, threads).unwrap();
-            let m = evaluate_plan(&materialized, &db, threads).unwrap();
-            assert_eq!(s, m, "modes diverged at {threads} threads");
-            assert!(s.is_some());
+            let s = evaluate_plan(&plan, &db, threads).unwrap();
+            assert_eq!(s, oracle, "streaming diverged at {threads} threads");
+        }
+    }
+
+    /// Values of the proptest units' chain variables: a ring of this
+    /// many values, `k` forward edges from each.
+    const RING: i64 = 12;
+
+    /// A shared-variable unit built straight from atoms, with its
+    /// database: the chain `E(x0, x1), …, E(x{n-1}, xn)` anchored by
+    /// `T(xn)` (only the last ring value), plus — when `wide` — one
+    /// pendant `W(xi, zi)` per chain atom with `k` local solutions per
+    /// `xi`. `sabotage` points that chain atom at the empty relation
+    /// `Dead`, making its region unsatisfiable. Returns the database,
+    /// the atoms, and every variable (for the head).
+    fn shaped_unit(
+        n: usize,
+        k: i64,
+        wide: bool,
+        sabotage: Option<usize>,
+    ) -> (Database, Vec<Atom>, Vec<u32>) {
+        let mut db = Database::new();
+        for (name, arity) in [("E", 2), ("W", 2), ("T", 1), ("Dead", 2)] {
+            let columns = ["a", "b"];
+            db.create_table(name, &columns[..arity]).unwrap();
+        }
+        for a in 0..RING {
+            for s in 0..k {
+                db.insert("E", vec![Value::int(a), Value::int((a + 1 + s) % RING)])
+                    .unwrap();
+                db.insert("W", vec![Value::int(a), Value::int(100 + s)])
+                    .unwrap();
+            }
+        }
+        db.insert("T", vec![Value::int(RING - 1)]).unwrap();
+        let z = |i: usize| 100 + i as u32;
+        let mut atoms = Vec::new();
+        let mut vars: Vec<u32> = (0..=n as u32).collect();
+        for i in 0..n {
+            let relation = if sabotage == Some(i) { "Dead" } else { "E" };
+            atoms.push(Atom::new(relation, vec![vx(i as u32), vx(i as u32 + 1)]));
+            if wide {
+                atoms.push(Atom::new("W", vec![vx(i as u32), vx(z(i))]));
+                vars.push(z(i));
+            }
+        }
+        atoms.push(Atom::new("T", vec![vx(n as u32)]));
+        (db, atoms, vars)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn streaming_equals_materialized_on_shaped_units(
+            n in 2usize..10,
+            k in 1i64..5,
+            wide in 0usize..2,
+            sabotage in proptest::option::of(0usize..10),
+        ) {
+            // Chain- and wide-shaped units, satisfiable or with one
+            // region made unsatisfiable: the streamed split must agree
+            // with the materialized oracle answer for answer, at every
+            // thread count.
+            let sabotage = sabotage.map(|i| i % n);
+            let (db, atoms, vars) = shaped_unit(n, k, wide == 1, sabotage);
+            let plan = split_plan(atoms, &vars);
+            let oracle = materialized_answers(&plan, &db);
+            proptest::prop_assert_eq!(oracle.is_some(), sabotage.is_none());
+            for threads in [1, 2, 4] {
+                proptest::prop_assert_eq!(
+                    evaluate_plan(&plan, &db, threads).unwrap(),
+                    oracle.clone()
+                );
+            }
         }
     }
 
@@ -1660,7 +1531,7 @@ mod tests {
             Atom::new("A", vec![vx(0), vx(1)]),
             Atom::new("B", vec![vx(0), vx(2)]),
         ];
-        let plan = split_plan(atoms, &[0, 1, 2], 1 << 20, true);
+        let plan = split_plan(atoms, &[0, 1, 2]);
         let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 2).unwrap();
         assert!(answers.is_some());
         assert!(

@@ -39,30 +39,8 @@ pub enum SafetyPolicy {
 /// Scans a graph for safety violations: any query slot with two or more
 /// in-edges on the same postcondition index.
 pub fn violations(graph: &MatchGraph) -> Vec<SafetyViolation> {
-    let mut out = Vec::new();
-    for slot in 0..graph.len() as u32 {
-        let q = &graph.queries()[slot as usize];
-        let pc_count = q.pc_count();
-        if pc_count == 0 {
-            continue;
-        }
-        let mut per_pc: Vec<Vec<(u32, u32)>> = vec![Vec::new(); pc_count];
-        for &eid in graph.in_edges(slot) {
-            let e = &graph.edges()[eid as usize];
-            per_pc[e.pc_idx as usize].push((e.from, e.head_idx));
-        }
-        for (pc_idx, heads) in per_pc.into_iter().enumerate() {
-            if heads.len() >= 2 {
-                out.push(SafetyViolation {
-                    slot,
-                    query: q.id,
-                    pc_idx: pc_idx as u32,
-                    heads,
-                });
-            }
-        }
-    }
-    out
+    let all: Vec<u32> = (0..graph.len() as u32).collect();
+    violations_members(graph, &all)
 }
 
 /// Member-scoped violation scan over any [`MatchView`]: reports every

@@ -372,8 +372,7 @@ mod tests {
                 EngineConfig {
                     mode: EngineMode::SetAtATime { batch_size: 0 },
                     intra_component_threshold: 1,
-                    intra_split_min_atoms: if split { 2 } else { usize::MAX },
-                    intra_split_crossover: 0,
+                    intra_split_crossover: if split { 0 } else { usize::MAX },
                     flush_threads: 4,
                     ..Default::default()
                 },
