@@ -1235,6 +1235,10 @@ fn giant_counters(report: &eq_core::BatchReport) -> Vec<(&'static str, f64)> {
         ("unify_rollbacks", report.unify_rollbacks as f64),
         ("unify_clones", report.unify_clones as f64),
         ("unify_undo_high_water", report.unify_undo_high_water as f64),
+        (
+            "index_postings_scanned",
+            report.index_postings_scanned as f64,
+        ),
     ]
 }
 

@@ -34,7 +34,7 @@ use crate::combine::{CombinedQuery, QueryAnswer};
 use crate::coordinate::RejectReason;
 use crate::error::InvariantViolation;
 use crate::graph::{Edge, MatchView};
-use crate::index::{AtomIndex, AtomRef, ShardedAtomIndex};
+use crate::index::{AtomIndex, AtomRef, ShardedAtomIndex, SlotSet};
 use crate::intra;
 use crate::matching::{self, MatchStats};
 use crate::pool;
@@ -315,6 +315,14 @@ pub struct BatchReport {
     pub io: StoreIoStats,
     /// Aggregated matching statistics.
     pub stats: MatchStats,
+    /// Atom-index list entries visited by the batched retirement passes
+    /// of this operation: each touched posting or relation list's
+    /// length before filtering ([`AtomIndex::remove_batch`]). A
+    /// deterministic work count — when a whole component retires
+    /// together it is arity + 1 per retired atom however large the
+    /// component, where per-atom removal rescanned every hub list once
+    /// per atom.
+    pub index_postings_scanned: u64,
     /// Unifier `merge_from` folds performed while producing this
     /// report (seeding, propagation, global folds, probe assembly) —
     /// the delta of [`eq_unify::ops`]'s process counter across the
@@ -404,6 +412,25 @@ struct BatchProbe {
     batch_out: Vec<Option<BatchEdge>>,
 }
 
+/// Slots retired since the last drain, awaiting their batched removal
+/// from the resident atom indexes. Retirement only records here; every
+/// engine operation that retires drains before it returns, so no probe,
+/// insert or slot reuse ever sees a retired ref. Holds routing only —
+/// the retired query itself is dropped at retirement.
+#[derive(Default)]
+struct RetiredAtoms {
+    /// Retired slots in retirement order; they join the free list at
+    /// the drain, in this order.
+    slots: Vec<u32>,
+    /// `slots` as a bitmap, the batched pass's retain predicate (its
+    /// words stay allocated across drains; bits are cleared).
+    set: SlotSet,
+    /// Every retired head atom, with its head-index shard.
+    heads: Vec<(usize, AtomRef)>,
+    /// Every retired postcondition atom, with its pc-index shard.
+    pcs: Vec<(usize, AtomRef)>,
+}
+
 /// Immutable view over the engine's resident match state: the slot
 /// table provides the queries, the [`ResidentGraph`] the topology.
 /// Matching, safety, UCS, and combined-query construction all run
@@ -456,6 +483,9 @@ pub struct CoordinationEngine {
     /// Resident atom indexes, sharded by `(relation, arity)` (§4.1.4).
     head_index: ShardedAtomIndex,
     pc_index: ShardedAtomIndex,
+    /// Slots retired since the last index drain
+    /// ([`CoordinationEngine::drain_retired`]).
+    retired: RetiredAtoms,
     /// The persistent match graph: edges + components + dirty tracking.
     resident: ResidentGraph,
     /// Submission order for staleness sweeps.
@@ -495,6 +525,7 @@ impl CoordinationEngine {
             statuses: FastMap::default(),
             head_index: ShardedAtomIndex::default(),
             pc_index: ShardedAtomIndex::default(),
+            retired: RetiredAtoms::default(),
             resident: ResidentGraph::new(),
             age_queue: VecDeque::new(),
             deadlines: BinaryHeap::new(),
@@ -794,41 +825,12 @@ impl CoordinationEngine {
             .collect();
         let mut out = Vec::with_capacity(victims.len());
         for slot in victims {
-            let pending = self.slots[slot as usize].take().expect("victim slot live");
-            let id = pending.query.id;
-            self.by_id.remove(&id);
+            let pending = self.detach(slot).expect("victim slot live");
             // The Pending status entry travels with the query; the
             // destination re-inserts it on admission.
-            self.statuses.remove(&id);
-            for &eid in self.resident.out_edges(slot) {
-                let e = self.resident.edge(eid);
-                if let Some(p) = self.slots[e.to as usize].as_mut() {
-                    let c = &mut p.pc_satisfiers[e.pc_idx as usize];
-                    *c = c.saturating_sub(1);
-                }
-            }
-            for (ai, atom) in pending.query.head.iter().enumerate() {
-                self.head_index.remove(
-                    AtomRef {
-                        query: slot,
-                        atom: ai as u32,
-                    },
-                    atom,
-                );
-            }
-            for (ai, atom) in pending.query.postconditions.iter().enumerate() {
-                self.pc_index.remove(
-                    AtomRef {
-                        query: slot,
-                        atom: ai as u32,
-                    },
-                    atom,
-                );
-            }
-            self.resident.unlink(slot);
-            self.free_slots.push(slot);
+            self.statuses.remove(&pending.query.id);
             out.push(MigratedQuery {
-                id,
+                id: pending.query.id,
                 query: pending.query,
                 sender: pending.sender,
                 on_no_solution: pending.on_no_solution,
@@ -836,6 +838,7 @@ impl CoordinationEngine {
                 submitted_at: pending.submitted_at,
             });
         }
+        self.drain_retired();
         out.sort_by_key(|m| m.id);
         out
     }
@@ -1236,6 +1239,14 @@ impl CoordinationEngine {
     /// staleness bound, plus every pending query whose per-query
     /// deadline ([`SubmitOptions::deadline`]) has passed.
     pub fn expire_stale(&mut self) -> usize {
+        let expired = self.retire_expired();
+        self.drain_retired();
+        expired
+    }
+
+    /// The staleness sweep of [`CoordinationEngine::expire_stale`],
+    /// leaving the index removal to the caller's drain.
+    fn retire_expired(&mut self) -> usize {
         let now = Instant::now();
         let mut expired = 0;
         // Per-query deadlines, earliest first. Entries for queries that
@@ -1277,7 +1288,9 @@ impl CoordinationEngine {
     /// remain pending.
     pub fn flush(&mut self) -> BatchReport {
         self.submissions_since_flush = 0;
-        self.expire_stale();
+        // Expired queries leave the indexes in the same drain as the
+        // flush's own retirements (no index read happens in between).
+        self.retire_expired();
 
         let revision = self.db.read().revision();
         if revision != self.flushed_db_revision {
@@ -1304,6 +1317,7 @@ impl CoordinationEngine {
             return false;
         };
         self.retire(slot, Err(FailReason::Cancelled));
+        self.drain_retired();
         true
     }
 
@@ -1359,7 +1373,7 @@ impl CoordinationEngine {
                         for (&s, answer) in survivors.iter().zip(answers) {
                             self.retire(s, Ok(answer));
                         }
-                        return;
+                        break;
                     }
                     None => {
                         // Per-member no-solution policy: members with
@@ -1374,7 +1388,7 @@ impl CoordinationEngine {
                             }
                         }
                         if new_query_retired {
-                            return;
+                            break;
                         }
                         // KeepPending: try the next partner.
                     }
@@ -1383,10 +1397,11 @@ impl CoordinationEngine {
                     for &s in &members {
                         self.retire(s, Err(FailReason::Rejected(RejectReason::NoSolution)));
                     }
-                    return;
+                    break;
                 }
             }
         }
+        self.drain_retired();
     }
 
     /// Matches and evaluates component member groups straight off the
@@ -1399,6 +1414,7 @@ impl CoordinationEngine {
     fn process_groups(&mut self, groups: &[Vec<u32>]) -> BatchReport {
         let mut report = BatchReport::default();
         if groups.is_empty() {
+            report.index_postings_scanned = self.drain_retired() as u64;
             report.pending = self.pending_count();
             return report;
         }
@@ -1522,6 +1538,8 @@ impl CoordinationEngine {
             }
             // Unmatched stay pending.
         }
+        // One batched index pass for everything retired above.
+        report.index_postings_scanned = self.drain_retired() as u64;
         report.pending = self.pending_count();
         let unify_delta = eq_unify::ops::global().delta_since(&unify_before);
         report.unify_merges = unify_delta.merges;
@@ -1549,13 +1567,14 @@ impl CoordinationEngine {
         s
     }
 
-    /// Removes a query from all engine state and delivers its outcome.
-    fn retire(&mut self, slot: u32, outcome: Result<QueryAnswer, FailReason>) {
-        let Some(pending) = self.slots[slot as usize].take() else {
-            return;
-        };
-        let id = pending.query.id;
-        self.by_id.remove(&id);
+    /// Takes a query out of the live engine state: its slot and id
+    /// mapping, the satisfier counts its heads contributed, and its
+    /// resident-graph links. Its atoms are recorded for the next
+    /// [`CoordinationEngine::drain_retired`], which also frees the
+    /// slot. Shared by retirement and shard migration.
+    fn detach(&mut self, slot: u32) -> Option<PendingQuery> {
+        let pending = self.slots[slot as usize].take()?;
+        self.by_id.remove(&pending.query.id);
         // A head leaving the pool frees up partner postconditions; the
         // resident out-edges name exactly the affected (partner, pc)
         // pairs — no index probing or re-unification needed.
@@ -1566,27 +1585,55 @@ impl CoordinationEngine {
                 *c = c.saturating_sub(1);
             }
         }
+        let retired = &mut self.retired;
+        retired.slots.push(slot);
+        retired.set.insert(slot);
         for (ai, atom) in pending.query.head.iter().enumerate() {
-            self.head_index.remove(
-                AtomRef {
-                    query: slot,
-                    atom: ai as u32,
-                },
-                atom,
-            );
+            let r = AtomRef {
+                query: slot,
+                atom: ai as u32,
+            };
+            retired.heads.push((self.head_index.shard_of(atom), r));
         }
         for (ai, atom) in pending.query.postconditions.iter().enumerate() {
-            self.pc_index.remove(
-                AtomRef {
-                    query: slot,
-                    atom: ai as u32,
-                },
-                atom,
-            );
+            let r = AtomRef {
+                query: slot,
+                atom: ai as u32,
+            };
+            retired.pcs.push((self.pc_index.shard_of(atom), r));
         }
         self.resident.unlink(slot);
-        self.free_slots.push(slot);
+        Some(pending)
+    }
 
+    /// Removes every atom retired since the last drain from the
+    /// resident indexes — one order-preserving pass per touched posting
+    /// list ([`ShardedAtomIndex::remove_batch`]) — then frees the
+    /// retired slots for reuse. Returns the list entries visited.
+    fn drain_retired(&mut self) -> usize {
+        let slots = std::mem::take(&mut self.retired.slots);
+        if slots.is_empty() {
+            return 0;
+        }
+        let heads = std::mem::take(&mut self.retired.heads);
+        let pcs = std::mem::take(&mut self.retired.pcs);
+        let set = &mut self.retired.set;
+        let scanned =
+            self.head_index.remove_batch(&heads, set) + self.pc_index.remove_batch(&pcs, set);
+        for &slot in &slots {
+            set.remove(slot);
+        }
+        self.free_slots.extend(slots);
+        scanned
+    }
+
+    /// Removes a query from the engine and delivers its outcome. Its
+    /// index entries leave at the caller's next drain.
+    fn retire(&mut self, slot: u32, outcome: Result<QueryAnswer, FailReason>) {
+        let Some(pending) = self.detach(slot) else {
+            return;
+        };
+        let id = pending.query.id;
         let (status, message) = match outcome {
             Ok(answer) => (QueryStatus::Answered, QueryOutcome::Answered(answer)),
             Err(reason) => (
@@ -1612,6 +1659,11 @@ impl CoordinationEngine {
         self.resident
             .check_invariants()
             .map_err(InvariantViolation::Resident)?;
+        if !self.retired.slots.is_empty() || !self.retired.set.is_empty() {
+            return Err(InvariantViolation::UndrainedRetirement {
+                slots: self.retired.slots.len(),
+            });
+        }
         let mut live_heads = 0usize;
         let mut live_pcs = 0usize;
         for (slot, entry) in self.slots.iter().enumerate() {
@@ -2490,6 +2542,13 @@ mod tests {
         }
         assert_eq!(engine.resident_edge_count(), 0);
         assert_eq!(engine.resident_component_count(), 0);
+        // Every round indexed fresh constants (A{round}, B{round}); the
+        // batched removal drops the lists it empties, so none remain.
+        assert_eq!(
+            engine.head_index.key_count() + engine.pc_index.key_count(),
+            0,
+            "posting lists outlived their atoms"
+        );
         assert!(
             engine.slot_capacity() <= 4,
             "slots: {}",

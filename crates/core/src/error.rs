@@ -91,6 +91,12 @@ pub enum InvariantViolation {
         /// Live slots.
         live: usize,
     },
+    /// Retired slots are still waiting for their batched removal from
+    /// the atom indexes: an operation returned without draining.
+    UndrainedRetirement {
+        /// Retired slots recorded since the last drain.
+        slots: usize,
+    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -124,6 +130,12 @@ impl fmt::Display for InvariantViolation {
             ),
             InvariantViolation::IdMapSizeMismatch { ids, live } => {
                 write!(f, "by_id holds {ids} entries for {live} live slots")
+            }
+            InvariantViolation::UndrainedRetirement { slots } => {
+                write!(
+                    f,
+                    "{slots} retired slots not yet removed from the atom indexes"
+                )
             }
         }
     }

@@ -15,7 +15,9 @@
 //! notes the index gives no complexity guarantee but is "immensely
 //! useful" in practice.
 
-use eq_ir::{Atom, FastMap, Symbol, Term, Value};
+use eq_ir::{Atom, FastMap, FastSet, Symbol, Term, Value};
+use std::collections::hash_map::Entry;
+use std::hash::Hash;
 
 /// Reference to one atom: which query (by caller-chosen slot) and which
 /// atom position within that query's head or postcondition list.
@@ -40,8 +42,82 @@ struct Key {
     value: KeyValue,
 }
 
+/// The posting keys of `atom`: one per position, the constant or `Δ`.
+fn posting_keys(atom: &Atom) -> impl Iterator<Item = Key> + '_ {
+    atom.terms.iter().enumerate().map(|(pos, term)| Key {
+        relation: atom.relation,
+        position: pos as u32,
+        value: match term {
+            Term::Const(c) => KeyValue::Exact(*c),
+            Term::Var(_) => KeyValue::Wildcard,
+        },
+    })
+}
+
+/// Filters the list under `key` with an order-preserving `retain`,
+/// dropping it when emptied. Returns the entries visited.
+fn retain_or_drop<K: Hash + Eq>(
+    map: &mut FastMap<K, Vec<AtomRef>>,
+    key: K,
+    keep: impl FnMut(&AtomRef) -> bool,
+) -> usize {
+    let Entry::Occupied(mut list) = map.entry(key) else {
+        return 0;
+    };
+    let visited = list.get().len();
+    list.get_mut().retain(keep);
+    if list.get().is_empty() {
+        list.remove();
+    }
+    visited
+}
+
+/// A dense set of query slots ([`AtomRef::query`] values), one bit per
+/// slot: the retain predicate of [`AtomIndex::remove_batch`]. Sized by
+/// the highest slot inserted; clearing bits keeps the words allocated.
+#[derive(Clone, Debug, Default)]
+pub struct SlotSet {
+    words: Vec<u64>,
+}
+
+impl SlotSet {
+    /// An empty set.
+    pub fn new() -> Self {
+        SlotSet::default()
+    }
+
+    /// Adds `slot`.
+    pub fn insert(&mut self, slot: u32) {
+        let word = slot as usize / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (slot % 64);
+    }
+
+    /// Removes `slot`; no-op if absent.
+    pub fn remove(&mut self, slot: u32) {
+        if let Some(w) = self.words.get_mut(slot as usize / 64) {
+            *w &= !(1 << (slot % 64));
+        }
+    }
+
+    /// True if `slot` is in the set.
+    pub fn contains(&self, slot: u32) -> bool {
+        self.words
+            .get(slot as usize / 64)
+            .is_some_and(|w| w & (1 << (slot % 64)) != 0)
+    }
+
+    /// True if no slot is in the set (scans the words).
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+}
+
 /// An index over a set of atoms supporting unifiability-candidate lookup
-/// and removal (queries retire from the engine when answered or stale).
+/// and batched removal (queries retire from the engine when answered or
+/// stale).
 #[derive(Default)]
 pub struct AtomIndex {
     postings: FastMap<Key, Vec<AtomRef>>,
@@ -68,45 +144,79 @@ impl AtomIndex {
 
     /// Inserts an atom under `r`.
     pub fn insert(&mut self, r: AtomRef, atom: &Atom) {
-        for (pos, term) in atom.terms.iter().enumerate() {
-            let value = match term {
-                Term::Const(c) => KeyValue::Exact(*c),
-                Term::Var(_) => KeyValue::Wildcard,
-            };
-            self.postings
-                .entry(Key {
-                    relation: atom.relation,
-                    position: pos as u32,
-                    value,
-                })
-                .or_default()
-                .push(r);
+        for key in posting_keys(atom) {
+            self.postings.entry(key).or_default().push(r);
         }
         self.by_relation.entry(atom.relation).or_default().push(r);
         self.atoms.insert(r, atom.clone());
     }
 
-    /// Removes an atom by reference. No-op if absent.
-    pub fn remove(&mut self, r: AtomRef) {
+    /// Removes a batch of atoms in one order-preserving pass per touched
+    /// posting list and per touched relation list, instead of one pass
+    /// per atom: retiring a hub-shaped component of `n` queries costs
+    /// `O(n)` rather than `O(n²)`.
+    ///
+    /// `retired` names the slots leaving. All atoms of a retired slot
+    /// leave together — every one of them that is indexed here must be
+    /// in `refs` — so the pass filters each list by a bitmap probe on
+    /// [`AtomRef::query`]. Surviving entries keep their relative order,
+    /// so the candidate visit order of
+    /// [`AtomIndex::for_each_candidate`] is exactly what per-atom
+    /// removal would leave. Lists the pass empties are dropped: the
+    /// index holds keys of resident atoms only. Refs not indexed are
+    /// ignored.
+    ///
+    /// Returns the number of list entries the pass visited (each touched
+    /// list's length before filtering).
+    pub fn remove_batch(
+        &mut self,
+        refs: impl IntoIterator<Item = AtomRef>,
+        retired: &SlotSet,
+    ) -> usize {
+        let mut keys: FastSet<Key> = FastSet::default();
+        let mut relations: FastSet<Symbol> = FastSet::default();
+        for r in refs {
+            debug_assert!(retired.contains(r.query), "{r:?} removed without its slot");
+            let Some(atom) = self.atoms.remove(&r) else {
+                continue;
+            };
+            keys.extend(posting_keys(&atom));
+            relations.insert(atom.relation);
+        }
+        let keep = |x: &AtomRef| !retired.contains(x.query);
+        let mut scanned = 0;
+        for key in keys {
+            scanned += retain_or_drop(&mut self.postings, key, keep);
+        }
+        for relation in relations {
+            scanned += retain_or_drop(&mut self.by_relation, relation, keep);
+        }
+        scanned
+    }
+
+    /// Reference removal: one `retain` per posting list per atom, the
+    /// pre-batching implementation. Test-only — the differential
+    /// proptest holds [`AtomIndex::remove_batch`] to its visit order.
+    #[cfg(test)]
+    fn remove_one(&mut self, r: AtomRef) {
         let Some(atom) = self.atoms.remove(&r) else {
             return;
         };
-        for (pos, term) in atom.terms.iter().enumerate() {
-            let value = match term {
-                Term::Const(c) => KeyValue::Exact(*c),
-                Term::Var(_) => KeyValue::Wildcard,
-            };
-            if let Some(list) = self.postings.get_mut(&Key {
-                relation: atom.relation,
-                position: pos as u32,
-                value,
-            }) {
+        for key in posting_keys(&atom) {
+            if let Some(list) = self.postings.get_mut(&key) {
                 list.retain(|&x| x != r);
             }
         }
         if let Some(list) = self.by_relation.get_mut(&atom.relation) {
             list.retain(|&x| x != r);
         }
+    }
+
+    /// Number of posting and relation lists held (test-only: the
+    /// leak regression checks it returns to zero).
+    #[cfg(test)]
+    pub(crate) fn key_count(&self) -> usize {
+        self.postings.len() + self.by_relation.len()
     }
 
     /// The stored atom for a reference, if present.
@@ -239,16 +349,6 @@ impl ShardedAtomIndex {
         }
     }
 
-    fn shard_id(&self, relation: Symbol, arity: usize) -> usize {
-        // Cheap deterministic mix of the interned relation id and arity;
-        // relations are few, so simple multiplicative hashing spreads
-        // them well enough.
-        let h = (relation.index() as usize)
-            .wrapping_mul(0x9e37_79b9)
-            .wrapping_add(arity);
-        h % self.shards.len()
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -262,7 +362,7 @@ impl ShardedAtomIndex {
 
     /// The shard that atoms shaped like `probe` live in.
     pub fn shard_for(&self, probe: &Atom) -> &AtomIndex {
-        &self.shards[self.shard_id(probe.relation, probe.arity())]
+        &self.shards[self.shard_of(probe)]
     }
 
     /// Total number of atoms indexed across shards.
@@ -277,15 +377,45 @@ impl ShardedAtomIndex {
 
     /// Inserts an atom under `r`.
     pub fn insert(&mut self, r: AtomRef, atom: &Atom) {
-        let id = self.shard_id(atom.relation, atom.arity());
+        let id = self.shard_of(atom);
         self.shards[id].insert(r, atom);
     }
 
-    /// Removes an atom by reference; `atom` routes to the owning shard.
-    /// No-op if absent.
-    pub fn remove(&mut self, r: AtomRef, atom: &Atom) {
-        let id = self.shard_id(atom.relation, atom.arity());
-        self.shards[id].remove(r);
+    /// The shard atoms shaped like `atom` live in: the routing a
+    /// [`ShardedAtomIndex::remove_batch`] entry carries, so a removal
+    /// can be recorded once the atom itself is gone.
+    pub fn shard_of(&self, atom: &Atom) -> usize {
+        // Cheap deterministic mix of the interned relation id and arity;
+        // relations are few, so simple multiplicative hashing spreads
+        // them well enough.
+        let h = (atom.relation.index() as usize)
+            .wrapping_mul(0x9e37_79b9)
+            .wrapping_add(atom.arity());
+        h % self.shards.len()
+    }
+
+    /// Batched removal routed per shard: `refs` pairs each leaving atom
+    /// with its shard ([`ShardedAtomIndex::shard_of`]), and every touched
+    /// shard runs one [`AtomIndex::remove_batch`] under the same
+    /// all-atoms-of-a-slot contract. Returns the list entries visited.
+    pub fn remove_batch(&mut self, refs: &[(usize, AtomRef)], retired: &SlotSet) -> usize {
+        let mut buckets: Vec<Vec<AtomRef>> = vec![Vec::new(); self.shards.len()];
+        for &(shard, r) in refs {
+            buckets[shard].push(r);
+        }
+        buckets
+            .into_iter()
+            .zip(&mut self.shards)
+            .filter(|(bucket, _)| !bucket.is_empty())
+            .map(|(bucket, shard)| shard.remove_batch(bucket, retired))
+            .sum()
+    }
+
+    /// Number of posting and relation lists held across shards
+    /// (test-only).
+    #[cfg(test)]
+    pub(crate) fn key_count(&self) -> usize {
+        self.shards.iter().map(AtomIndex::key_count).sum()
     }
 
     /// The stored atom for a reference, if present (scans shards; meant
@@ -318,6 +448,14 @@ mod tests {
 
     fn r(q: u32, a: u32) -> AtomRef {
         AtomRef { query: q, atom: a }
+    }
+
+    fn slots(qs: &[u32]) -> SlotSet {
+        let mut set = SlotSet::new();
+        for &q in qs {
+            set.insert(q);
+        }
+        set
     }
 
     #[test]
@@ -389,13 +527,50 @@ mod tests {
         idx.insert(r(0, 0), &atom!("R", [Term::str("a"), v(0)]));
         idx.insert(r(1, 0), &atom!("R", [Term::str("a"), v(1)]));
         assert_eq!(idx.len(), 2);
-        idx.remove(r(0, 0));
+        let retired = slots(&[0]);
+        // Visits the `(R,0,a)` and `(R,1,Δ)` lists and the `R` list.
+        assert_eq!(idx.remove_batch([r(0, 0)], &retired), 6);
         assert_eq!(idx.len(), 1);
         let probe = atom!("R", [Term::str("a"), v(2)]);
         assert_eq!(idx.candidates(&probe), vec![r(1, 0)]);
         // Removing again is a no-op.
-        idx.remove(r(0, 0));
+        assert_eq!(idx.remove_batch([r(0, 0)], &retired), 0);
         assert_eq!(idx.len(), 1);
+    }
+
+    #[test]
+    fn slot_set_membership() {
+        let mut set = SlotSet::new();
+        assert!(set.is_empty() && !set.contains(200));
+        set.insert(3);
+        set.insert(130);
+        assert!(set.contains(3) && set.contains(130) && !set.contains(4));
+        set.remove(3);
+        set.remove(999);
+        assert!(!set.contains(3) && !set.is_empty());
+        set.remove(130);
+        assert!(set.is_empty());
+    }
+
+    #[test]
+    fn batched_removal_drops_emptied_lists() {
+        // Distinct constants per atom (user names, group ids) must not
+        // leave an empty posting list behind once their atoms retire.
+        let n = 50u32;
+        let mut idx = AtomIndex::new();
+        for q in 0..n {
+            let name = Term::str(&format!("user{q}"));
+            idx.insert(r(q, 0), &atom!("R", [name, Term::int(i64::from(q))]));
+            idx.insert(r(q, 1), &atom!("S", [v(q), Term::str("hub")]));
+        }
+        assert_eq!(idx.key_count(), 2 * n as usize + 2 + 2);
+        let retired = slots(&(0..n).collect::<Vec<_>>());
+        let refs = (0..n).flat_map(|q| [r(q, 0), r(q, 1)]);
+        // Every list is visited once: 2 entries per atom in postings,
+        // 1 in its relation list.
+        assert_eq!(idx.remove_batch(refs, &retired), 3 * 2 * n as usize);
+        assert!(idx.is_empty());
+        assert_eq!(idx.key_count(), 0, "emptied lists leaked");
     }
 
     #[test]
@@ -428,7 +603,8 @@ mod tests {
         let probe = atom!("R", [Term::str("a"), v(1)]);
         assert_eq!(idx.candidates(&probe), vec![r(0, 0)]);
         // Removal routes through the atom's shard.
-        idx.remove(r(0, 0), &atom!("R", [Term::str("a"), v(0)]));
+        let shard = idx.shard_of(&atom!("R", [Term::str("a"), v(0)]));
+        idx.remove_batch(&[(shard, r(0, 0))], &slots(&[0]));
         assert!(idx.candidates(&probe).is_empty());
         assert_eq!(idx.len(), 2);
         assert!(idx.get(r(1, 0)).is_some());
@@ -491,6 +667,164 @@ mod tests {
                         cands.contains(&r(i as u32, 0)),
                         "index missed unifiable pair {a} / {probe}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Differential check of the batched removal against the per-ref
+    /// reference ([`AtomIndex::remove_one`]): candidate visit order is
+    /// a contract (eager pairing's "first closure wins" relies on it),
+    /// so after every step of a random script both must visit exactly
+    /// the same refs, in the same order, for every probe.
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        const SLOTS: u32 = 6;
+        /// `(relation, arity)` shapes: two arities share a relation
+        /// name, so the arity filter and the shard routing are both
+        /// exercised.
+        const SHAPES: [(&str, usize); 3] = [("R", 2), ("R", 1), ("S", 2)];
+        const CONSTS: [&str; 3] = ["a", "b", "c"];
+
+        /// One script step.
+        #[derive(Clone, Debug)]
+        enum Op {
+            /// Fill `slot` (if free) with atoms given as `(shape, term,
+            /// term)` selectors; a previously retired slot is reused
+            /// under different atoms.
+            Insert { slot: u32, atoms: Vec<(u8, u8, u8)> },
+            /// Retire every live slot in `mask` as one batch.
+            Retire { mask: u32 },
+        }
+
+        fn arb_script() -> impl Strategy<Value = Vec<Op>> {
+            proptest::collection::vec(
+                prop_oneof![
+                    (
+                        0..SLOTS,
+                        proptest::collection::vec((0u8..3, 0u8..4, 0u8..4), 1..3)
+                    )
+                        .prop_map(|(slot, atoms)| Op::Insert { slot, atoms }),
+                    (1u32..(1 << SLOTS)).prop_map(|mask| Op::Retire { mask }),
+                ],
+                0..40,
+            )
+        }
+
+        /// Selector `0..3` is a constant, anything else a fresh variable.
+        fn term(sel: u8, next_var: &mut u32) -> Term {
+            match CONSTS.get(sel as usize) {
+                Some(c) => Term::str(c),
+                None => {
+                    *next_var += 1;
+                    v(*next_var)
+                }
+            }
+        }
+
+        fn make_atom((shape, t0, t1): (u8, u8, u8), next_var: &mut u32) -> Atom {
+            let (name, arity) = SHAPES[shape as usize];
+            let terms = [t0, t1][..arity]
+                .iter()
+                .map(|&t| term(t, next_var))
+                .collect();
+            Atom::new(name, terms)
+        }
+
+        /// Every shape with each position a constant or a variable.
+        fn probe_universe() -> Vec<Atom> {
+            let mut next_var = 1000;
+            let mut probes = Vec::new();
+            for shape in 0..SHAPES.len() as u8 {
+                for t0 in 0..4 {
+                    for t1 in 0..4 {
+                        if SHAPES[shape as usize].1 == 1 && t1 > 0 {
+                            continue;
+                        }
+                        probes.push(make_atom((shape, t0, t1), &mut next_var));
+                    }
+                }
+            }
+            probes
+        }
+
+        fn visits(
+            probe: &Atom,
+            for_each: impl FnOnce(&Atom, &mut dyn FnMut(AtomRef, &Atom)),
+        ) -> Vec<(AtomRef, Atom)> {
+            let mut out = Vec::new();
+            for_each(probe, &mut |r, atom| out.push((r, atom.clone())));
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn batched_removal_keeps_reference_visit_order(script in arb_script()) {
+                let probes = probe_universe();
+                // Sharding changes which list drives a probe (a flat list
+                // also holds other arities), so each layout is checked
+                // against a reference of the same layout.
+                let mut model = AtomIndex::new();
+                let mut flat = AtomIndex::new();
+                let mut sharded_model = ShardedAtomIndex::new(2);
+                let mut sharded = ShardedAtomIndex::new(2);
+                let mut live: Vec<Option<Vec<Atom>>> = vec![None; SLOTS as usize];
+                let mut next_var = 0;
+                for (step, op) in script.iter().enumerate() {
+                    match op {
+                        Op::Insert { slot, atoms } => {
+                            if live[*slot as usize].is_some() {
+                                continue;
+                            }
+                            let atoms: Vec<Atom> =
+                                atoms.iter().map(|&a| make_atom(a, &mut next_var)).collect();
+                            for (i, atom) in atoms.iter().enumerate() {
+                                let at = r(*slot, i as u32);
+                                model.insert(at, atom);
+                                flat.insert(at, atom);
+                                sharded_model.insert(at, atom);
+                                sharded.insert(at, atom);
+                            }
+                            live[*slot as usize] = Some(atoms);
+                        }
+                        Op::Retire { mask } => {
+                            let mut retired = SlotSet::new();
+                            let mut refs = Vec::new();
+                            let mut routed = Vec::new();
+                            for slot in (0..SLOTS).filter(|s| mask & (1 << s) != 0) {
+                                let Some(atoms) = live[slot as usize].take() else {
+                                    continue;
+                                };
+                                retired.insert(slot);
+                                for (i, atom) in atoms.iter().enumerate() {
+                                    refs.push(r(slot, i as u32));
+                                    routed.push((sharded.shard_of(atom), r(slot, i as u32)));
+                                }
+                            }
+                            flat.remove_batch(refs.iter().copied(), &retired);
+                            sharded.remove_batch(&routed, &retired);
+                            for &at in refs.iter().rev() {
+                                model.remove_one(at);
+                            }
+                            for &(shard, at) in routed.iter().rev() {
+                                sharded_model.shards[shard].remove_one(at);
+                            }
+                        }
+                    }
+                    prop_assert_eq!(flat.len(), model.len());
+                    prop_assert_eq!(sharded.len(), model.len());
+                    for probe in &probes {
+                        let expected = visits(probe, |p, f| model.for_each_candidate(p, f));
+                        let got = visits(probe, |p, f| flat.for_each_candidate(p, f));
+                        prop_assert_eq!(&got, &expected, "flat index, probe {} after step {}", probe, step);
+                        let expected = visits(probe, |p, f| sharded_model.for_each_candidate(p, f));
+                        let got = visits(probe, |p, f| sharded.for_each_candidate(p, f));
+                        prop_assert_eq!(&got, &expected, "sharded index, probe {} after step {}", probe, step);
+                    }
                 }
             }
         }

@@ -79,7 +79,7 @@ pub use engine::{
 pub use error::{CoordinationError, InvariantViolation};
 pub use events::{Events, OverflowPolicy, SubscriberStats};
 pub use graph::{Edge, MatchGraph, MatchView};
-pub use index::{AtomIndex, AtomRef, ShardedAtomIndex};
+pub use index::{AtomIndex, AtomRef, ShardedAtomIndex, SlotSet};
 pub use intra::{ComponentPlan, WorkUnit};
 pub use resident::ResidentGraph;
 pub use safety::{SafetyPolicy, SafetyViolation};

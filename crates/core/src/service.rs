@@ -1277,6 +1277,7 @@ fn merge_reports(into: &mut BatchReport, from: BatchReport) {
     into.stats.dequeues += from.stats.dequeues;
     into.stats.mgu_calls += from.stats.mgu_calls;
     into.stats.cleanups += from.stats.cleanups;
+    into.index_postings_scanned += from.index_postings_scanned;
     into.unify_merges += from.unify_merges;
     into.unify_rollbacks += from.unify_rollbacks;
     into.unify_clones += from.unify_clones;

@@ -16,7 +16,9 @@
 # trajectory, plus the differential-oracle proptests for the undo-log
 # unifier, a 10k shared-ring sweep bounded at 2x the recorded
 # ~750 ms flush of the since-removed materialized semi-join (a number,
-# not a run), an 800-query shared-ring smoke
+# not a run), a 100k chain sweep whose flush (dominated by retiring
+# the whole ring) is bounded at 2000 ms with the scanned-postings count
+# held to 3 per retired atom, an 800-query shared-ring smoke
 # asserting the undo-log op counters, and the fig_store
 # out-of-core paging + kill-and-recover smoke, published as
 # BENCH_fig_store.json with budget/fault assertions). Everything runs
@@ -25,10 +27,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== 1/17 cargo fmt --check =="
+echo "== 1/18 cargo fmt --check =="
 cargo fmt --check
 
-echo "== 2/17 workspace membership (cargo metadata) =="
+echo "== 2/18 workspace membership (cargo metadata) =="
 # Parse real package names only (a grep over the raw JSON would also
 # match "name" fields inside dependency tables and pass vacuously).
 names=$(cargo metadata --no-deps --format-version 1 --offline |
@@ -44,32 +46,32 @@ for pkg in eq_ir eq_unify eq_db eq_sql eq_store eq_core eq_workload \
 done
 echo "all $(wc -w <<<"$names" | tr -d ' ') packages present"
 
-echo "== 3/17 cargo build --release =="
+echo "== 3/18 cargo build --release =="
 cargo build --release --offline
 
-echo "== 4/17 cargo test -q (unit + integration; doctests run in step 5) =="
+echo "== 4/18 cargo test -q (unit + integration; doctests run in step 5) =="
 cargo test -q --offline --lib --bins --tests
 
-echo "== 5/17 cargo test --doc (service/error examples compile and run) =="
+echo "== 5/18 cargo test --doc (service/error examples compile and run) =="
 cargo test -q --doc --offline
 
-echo "== 6/17 cargo clippy --workspace --all-targets =="
+echo "== 6/18 cargo clippy --workspace --all-targets =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== 7/17 cargo doc (warnings are errors) =="
+echo "== 7/18 cargo doc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
-echo "== 8/17 docs dead-link check =="
+echo "== 8/18 docs dead-link check =="
 python3 scripts/check_doc_links.py
 
-echo "== 9/17 eq_check concurrency-discipline analyzer =="
+echo "== 9/18 eq_check concurrency-discipline analyzer =="
 # The workspace scan must be clean, and every rule must be proven live
 # by its fixture pair (the must-fail fires exactly its own rule, the
 # must-pass stays silent).
 cargo run -q --offline -p eq_check
 cargo run -q --offline -p eq_check -- --fixtures
 
-echo "== 10/17 differential-oracle proptests (undo-log unifier vs clone oracle) =="
+echo "== 10/18 differential-oracle proptests (undo-log unifier vs clone oracle) =="
 # The undo-log snapshot/commit/rollback table must stay observationally
 # equivalent to the frozen clone-based oracle through random
 # op/snapshot interleavings (conflicting merges inside nested snapshots
@@ -77,17 +79,17 @@ echo "== 10/17 differential-oracle proptests (undo-log unifier vs clone oracle) 
 # harness from silently dropping out of the suite.
 cargo test -q --offline -p eq_unify differential
 
-echo "== 11/17 small-stack evaluator regression (RUST_MIN_STACK=1 MiB) =="
+echo "== 11/18 small-stack evaluator regression (RUST_MIN_STACK=1 MiB) =="
 # The join evaluator is iterative (heap-bounded frames); this deep-chain
 # join would overflow a 1 MiB test-thread stack through the old
 # recursive search. Run it with the stack clamped to prove the bound.
 RUST_MIN_STACK=1048576 cargo test -q --offline -p eq_db --test deep_stack
 
-echo "== 12/17 fig6 + fig8 bench smoke =="
+echo "== 12/18 fig6 + fig8 bench smoke =="
 cargo bench -q --offline -p eq_bench --bench fig6_two_way -- --smoke
 cargo bench -q --offline -p eq_bench --bench fig8_stress -- --smoke
 
-echo "== 13/17 fig_resident churn + fig_service admission/churn/sharded smoke (publishes BENCH_fig_service.json) =="
+echo "== 13/18 fig_resident churn + fig_service admission/churn/sharded smoke (publishes BENCH_fig_service.json) =="
 cargo bench -q --offline -p eq_bench --bench fig_resident -- --smoke
 cargo bench -q --offline -p eq_bench --bench fig_service -- --smoke
 cargo run -q --release --offline -p eq_bench --bin fig_service -- --smoke
@@ -138,7 +140,7 @@ print(f"sharded churn: {int(c1['answered'])} answered / {int(c1['expired'])} "
 PY
 echo "published BENCH_fig_service.json ($(wc -c < BENCH_fig_service.json) bytes, per-shard lock + dispatch counters asserted)"
 
-echo "== 14/17 fig_giant intra-component smoke (publishes BENCH_fig_giant.json) =="
+echo "== 14/18 fig_giant intra-component smoke (publishes BENCH_fig_giant.json) =="
 cargo bench -q --offline -p eq_bench --bench fig_giant -- --smoke
 cargo run -q --release --offline -p eq_bench --bin fig_giant -- --smoke
 cp results/fig_giant.json BENCH_fig_giant.json
@@ -169,7 +171,7 @@ print(f"unify_clones == 0 across all {checked} counter-bearing rows")
 PY
 echo "published BENCH_fig_giant.json ($(wc -c < BENCH_fig_giant.json) bytes, streaming + unify counters present)"
 
-echo "== 15/17 10k shared-ring sweep: streamed split vs recorded 750 ms baseline =="
+echo "== 15/18 10k shared-ring sweep: streamed split vs recorded 750 ms baseline =="
 # Recorded number: the 10k shared-variable ring flushed in ~0.75 s under
 # the materialized semi-join, before that evaluator left the engine to
 # become a test-only oracle (it is not run here); the streamed split
@@ -187,7 +189,34 @@ assert ms < 1500.0, f"10k shared-ring flush regressed: {ms:.1f} ms (materialized
 print(f"10k shared-ring streamed flush: {ms:.1f} ms (< 1500 ms bound)")
 PY
 
-echo "== 16/17 n=800 shared-ring match+flush smoke (undo-log op counters) =="
+echo "== 16/18 100k chain sweep: linear retirement (flush bound + scanned postings per atom) =="
+# The giant-component flush retires all 100k queries at once. With
+# batched, order-preserving index removal it measured 0.75-1.19 s on a
+# 2-vCPU host; per-atom removal rescanned the hub posting list once per
+# atom and took 14.8 s there.
+# Bound the flush at 2000 ms, and hold the deterministic work count to
+# the constant pinned by crates/bench/tests/retirement.rs: each retired
+# Chain atom (arity 2) costs exactly arity + 1 = 3 list entries.
+cargo run -q --release --offline -p eq_bench --bin fig_giant -- --sweep --sweep-size 100000
+python3 - <<'PY'
+import json
+rows = json.load(open("results/fig_giant_sweep.json"))
+flush = [r for r in rows if "giant-component flush" in r["series"]]
+assert flush, "sweep JSON lacks the giant-component flush row"
+r = flush[0]
+assert "(chain)" in r["series"], f"expected the chain sweep, got {r['series']!r}"
+ms = r["millis"]
+assert ms < 2000.0, f"100k chain flush regressed: {ms:.1f} ms (batched retirement measured ~800 ms)"
+c = r["counters"]
+retired_atoms = 2 * c["answered"]
+per_atom = c["index_postings_scanned"] / retired_atoms
+assert per_atom <= 3.0, \
+    f"retirement scanned {per_atom:.2f} postings per atom (constant is 3): removal went superlinear"
+print(f"100k chain flush: {ms:.1f} ms (< 2000 ms bound), "
+      f"{per_atom:.2f} scanned postings per retired atom (<= 3)")
+PY
+
+echo "== 17/18 n=800 shared-ring match+flush smoke (undo-log op counters) =="
 # A small shared-variable ring exercises the snapshot-riding SCC fold
 # and the probe-phase speculation end to end. The flush row's timing and
 # undo-log counters must be present and coherent: merges happened,
@@ -211,7 +240,7 @@ print(f"800 shared-ring flush: {r['millis']:.1f} ms, "
       f"undo high-water {int(c['unify_undo_high_water'])}, 0 clones")
 PY
 
-echo "== 17/17 fig_store out-of-core + kill-and-recover smoke (publishes BENCH_fig_store.json) =="
+echo "== 18/18 fig_store out-of-core + kill-and-recover smoke (publishes BENCH_fig_store.json) =="
 # The paged run must actually spill (hot relation >= 10x the cache
 # budget, nonzero page faults) while never exceeding its byte budget,
 # and the kill-and-recover harness must account exactly-once for every
