@@ -1664,14 +1664,18 @@ pub fn run_fig_store(cfg: &FigStoreConfig) -> Vec<Row> {
 }
 
 /// One kill-and-recover drive: submit `n` grid-pair queries through a
-/// [`eq_core::DurableCoordinator`] (flushing halfway, so the history holds both
-/// terminal outcomes and still-pending queries), optionally checkpoint
-/// mid-stream, snapshot the acknowledged accounting, drop the
-/// coordinator without ceremony (the simulated kill — page files and
-/// the WAL's un-checkpointed tail are all that survives), reopen, and
-/// assert the recovered accounting is **identical**: every
-/// acknowledged query exactly once, answered ones with their exact
-/// answers. Returns the row (recovery wall-clock in `millis`).
+/// [`eq_core::DurableCoordinator`] — the first half one `submit` at a
+/// time, then a flush (so the history holds both terminal outcomes and
+/// still-pending queries), then the second half as one `submit_batch` —
+/// optionally checkpoint mid-stream, snapshot the acknowledged
+/// accounting, drop the coordinator without ceremony (the simulated
+/// kill — page files and the WAL's un-checkpointed tail are all that
+/// survives), reopen, and assert the recovered accounting is
+/// **identical**: every acknowledged query exactly once, answered ones
+/// with their exact answers. Returns the row (recovery wall-clock in
+/// `millis`), with the WAL's write and record counts next to the
+/// acknowledgment points that should have produced them: each submit,
+/// the batch, and the flush if it staged any outcome.
 pub fn drive_kill_recover(n: usize, seed: u64, checkpoint: bool) -> Row {
     let dir = eq_store::scratch_dir("fig-store-recover");
     let config = EngineConfig {
@@ -1679,21 +1683,32 @@ pub fn drive_kill_recover(n: usize, seed: u64, checkpoint: bool) -> Row {
         ..Default::default()
     };
     let queries = grid_pairs(n, seed);
-    let before = {
+    let (before, ack_points, wal_writes, wal_records) = {
         let dc = eq_core::DurableCoordinator::open(&dir, config.clone())
             .expect("fresh durable coordinator");
         let half = queries.len() / 2;
         for q in &queries[..half] {
             dc.submit(SubmitRequest::new(q.clone())).expect("admitted");
         }
-        dc.flush();
+        let report = dc.flush();
         if checkpoint {
             dc.checkpoint().expect("checkpoint");
         }
-        for q in &queries[half..] {
-            dc.submit(SubmitRequest::new(q.clone())).expect("admitted");
+        let requests = queries[half..]
+            .iter()
+            .map(|q| SubmitRequest::new(q.clone()))
+            .collect();
+        for result in dc.submit_batch(requests) {
+            result.expect("admitted");
         }
-        dc.accounting()
+        let flush_outcomes = report.answered + report.failed;
+        let ack_points = half + usize::from(flush_outcomes > 0) + 1;
+        (
+            dc.accounting(),
+            ack_points,
+            dc.wal_writes(),
+            dc.wal_records(),
+        )
     }; // kill: dropped with pending queries and an unflushed WAL tail
 
     let start = Instant::now();
@@ -1721,6 +1736,9 @@ pub fn drive_kill_recover(n: usize, seed: u64, checkpoint: bool) -> Row {
             ("recovered_terminal", terminal as f64),
             ("recovered_pending", pending as f64),
             ("post_recovery_answered", report.answered as f64),
+            ("ack_points", ack_points as f64),
+            ("wal_writes", wal_writes as f64),
+            ("wal_records", wal_records as f64),
         ],
         ..Row::new(
             "fig_store",

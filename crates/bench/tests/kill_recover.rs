@@ -10,6 +10,11 @@
 //! record also survived, and pending otherwise. Nothing invents
 //! outcomes, nothing duplicates ids, and the recovered coordinator
 //! still flushes.
+//!
+//! In the `batched` half of the cases the second half of the queries
+//! goes in through one `submit_batch`, which the log takes as a single
+//! multi-record write — so the cut can also land inside a batch, with
+//! some of its records intact and the rest torn away.
 
 use eq_core::durable::WAL_FILE;
 use eq_core::{DurableCoordinator, EngineConfig, EngineMode, SubmitRequest};
@@ -24,19 +29,21 @@ fn config() -> EngineConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn torn_wal_recovers_a_prefix_exactly_once(
         n in 1usize..12,
         seed in 0u64..1024,
         cut_permille in 0u64..=1000,
+        batched in prop_oneof![Just(false), Just(true)],
     ) {
         let dir = eq_store::scratch_dir("kill-recover-prop");
         let queries = grid_pairs(n, seed);
 
         // Run: submit half, flush (producing terminal outcomes), submit
-        // the rest, then die without ceremony.
+        // the rest (one by one, or as one batch), then die without
+        // ceremony.
         let before = {
             let dc = DurableCoordinator::open(&dir, config()).unwrap();
             let half = queries.len() / 2;
@@ -44,8 +51,18 @@ proptest! {
                 dc.submit(SubmitRequest::new(q.clone())).unwrap();
             }
             dc.flush();
-            for q in &queries[half..] {
-                dc.submit(SubmitRequest::new(q.clone())).unwrap();
+            if batched {
+                let requests = queries[half..]
+                    .iter()
+                    .map(|q| SubmitRequest::new(q.clone()))
+                    .collect();
+                for result in dc.submit_batch(requests) {
+                    result.unwrap();
+                }
+            } else {
+                for q in &queries[half..] {
+                    dc.submit(SubmitRequest::new(q.clone())).unwrap();
+                }
             }
             dc.accounting()
         };

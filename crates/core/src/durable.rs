@@ -13,7 +13,9 @@
 //!   visible to event subscribers (outcomes) — the
 //!   `DurabilitySink` hook runs inside the service
 //!   lock at exactly those two points, so WAL order equals
-//!   acknowledgment order;
+//!   acknowledgment order. Records are encoded in place into one
+//!   [`WalBatch`] per acknowledgment point — a whole `submit_batch`, a
+//!   shard's whole drained outcome log — and written with one append;
 //! * every WAL record carries a monotonically increasing **sequence
 //!   number**, and [`DurableCoordinator::checkpoint`] writes an atomic
 //!   whole-state image — database contents, pending submissions, the
@@ -54,13 +56,13 @@ use crate::engine::{
     EngineConfig, FailReason, NoSolutionPolicy, QueryHandle, QueryOutcome, SubmitOptions,
 };
 use crate::error::CoordinationError;
-use crate::service::{Coordinator, DurabilitySink, SubmitRequest};
+use crate::service::{Coordinator, DurabilitySink, SubmitRecord, SubmitRequest};
 use eq_db::{Database, Tuple};
 use eq_ir::{
-    Atom, CmpOp, Constraint, EntangledQuery, FastMap, Polarity, QueryId, Term, ValidationError,
-    Value, Var,
+    Atom, CmpOp, Constraint, EntangledQuery, FastMap, Polarity, QueryId, Symbol, Term,
+    ValidationError, Value, Var,
 };
-use eq_store::{read_checkpoint, write_checkpoint, StoreError, WriteAheadLog};
+use eq_store::{read_checkpoint, write_checkpoint, StoreError, WalBatch, WriteAheadLog};
 use parking_lot::Mutex;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -146,18 +148,29 @@ fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
     }
 }
 
+/// Symbols already interned while decoding one image or one log,
+/// keyed by the bytes they were decoded from: each distinct string is
+/// interned once, and a repeat costs a hash probe, not an interner
+/// round trip or a `String`.
+type SymbolCache<'a> = FastMap<&'a [u8], Symbol>;
+
 /// A decode cursor. Every getter fails with
 /// [`StoreError::Corrupt`] on truncation or a bad tag — reachable only
 /// if a record passed its checksum yet doesn't parse, i.e. a version
 /// skew or outside edit, never a torn write.
-struct Cur<'a> {
+struct Cur<'a, 's> {
     buf: &'a [u8],
     pos: usize,
+    symbols: &'s mut SymbolCache<'a>,
 }
 
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cur { buf, pos: 0 }
+impl<'a, 's> Cur<'a, 's> {
+    fn new(buf: &'a [u8], symbols: &'s mut SymbolCache<'a>) -> Self {
+        Cur {
+            buf,
+            pos: 0,
+            symbols,
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
@@ -189,10 +202,28 @@ impl<'a> Cur<'a> {
         Ok(self.u64()? as i64)
     }
 
-    fn str(&mut self) -> Result<String, StoreError> {
+    fn str_bytes(&mut self) -> Result<&'a [u8], StoreError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
+        self.take(len)
+    }
+
+    fn str(&mut self) -> Result<String, StoreError> {
+        let bytes = self.str_bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Corrupt("non-utf8 string"))
+    }
+
+    /// A string read as the symbol it interns to (the format writes
+    /// symbols by text, so this decodes what `put_str` wrote).
+    fn symbol(&mut self) -> Result<Symbol, StoreError> {
+        let bytes = self.str_bytes()?;
+        if let Some(&sym) = self.symbols.get(bytes) {
+            return Ok(sym);
+        }
+        let text =
+            std::str::from_utf8(bytes).map_err(|_| StoreError::Corrupt("non-utf8 string"))?;
+        let sym = Symbol::new(text);
+        self.symbols.insert(bytes, sym);
+        Ok(sym)
     }
 
     fn opt_str(&mut self) -> Result<Option<String>, StoreError> {
@@ -225,10 +256,10 @@ fn put_value(out: &mut Vec<u8>, v: Value) {
     }
 }
 
-fn get_value(cur: &mut Cur<'_>) -> Result<Value, StoreError> {
+fn get_value(cur: &mut Cur<'_, '_>) -> Result<Value, StoreError> {
     match cur.u8()? {
         0 => Ok(Value::Int(cur.i64()?)),
-        1 => Ok(Value::str(&cur.str()?)),
+        1 => Ok(Value::Str(cur.symbol()?)),
         _ => Err(StoreError::Corrupt("value tag")),
     }
 }
@@ -246,7 +277,7 @@ fn put_term(out: &mut Vec<u8>, t: Term) {
     }
 }
 
-fn get_term(cur: &mut Cur<'_>) -> Result<Term, StoreError> {
+fn get_term(cur: &mut Cur<'_, '_>) -> Result<Term, StoreError> {
     match cur.u8()? {
         0 => Ok(Term::Const(get_value(cur)?)),
         1 => Ok(Term::Var(Var(cur.u32()?))),
@@ -262,14 +293,14 @@ fn put_atom(out: &mut Vec<u8>, a: &Atom) {
     }
 }
 
-fn get_atom(cur: &mut Cur<'_>) -> Result<Atom, StoreError> {
-    let relation = cur.str()?;
+fn get_atom(cur: &mut Cur<'_, '_>) -> Result<Atom, StoreError> {
+    let relation = cur.symbol()?;
     let n = cur.u32()? as usize;
     let mut terms = Vec::with_capacity(n);
     for _ in 0..n {
         terms.push(get_term(cur)?);
     }
-    Ok(Atom::new(relation.as_str(), terms))
+    Ok(Atom::new(relation, terms))
 }
 
 fn cmp_op_tag(op: CmpOp) -> u8 {
@@ -282,7 +313,7 @@ fn cmp_op_tag(op: CmpOp) -> u8 {
     }
 }
 
-fn get_cmp_op(cur: &mut Cur<'_>) -> Result<CmpOp, StoreError> {
+fn get_cmp_op(cur: &mut Cur<'_, '_>) -> Result<CmpOp, StoreError> {
     match cur.u8()? {
         0 => Ok(CmpOp::Lt),
         1 => Ok(CmpOp::Le),
@@ -299,7 +330,7 @@ fn put_constraint(out: &mut Vec<u8>, c: &Constraint) {
     put_term(out, c.rhs);
 }
 
-fn get_constraint(cur: &mut Cur<'_>) -> Result<Constraint, StoreError> {
+fn get_constraint(cur: &mut Cur<'_, '_>) -> Result<Constraint, StoreError> {
     let lhs = get_term(cur)?;
     let op = get_cmp_op(cur)?;
     let rhs = get_term(cur)?;
@@ -321,7 +352,7 @@ fn put_query(out: &mut Vec<u8>, q: &EntangledQuery) {
     put_u32(out, q.choose);
 }
 
-fn get_query(cur: &mut Cur<'_>) -> Result<EntangledQuery, StoreError> {
+fn get_query(cur: &mut Cur<'_, '_>) -> Result<EntangledQuery, StoreError> {
     let id = QueryId(cur.u64()?);
     let mut groups: [Vec<Atom>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for group in groups.iter_mut() {
@@ -355,7 +386,7 @@ fn put_policy(out: &mut Vec<u8>, p: Option<NoSolutionPolicy>) {
     });
 }
 
-fn get_policy(cur: &mut Cur<'_>) -> Result<Option<NoSolutionPolicy>, StoreError> {
+fn get_policy(cur: &mut Cur<'_, '_>) -> Result<Option<NoSolutionPolicy>, StoreError> {
     match cur.u8()? {
         0 => Ok(None),
         1 => Ok(Some(NoSolutionPolicy::Reject)),
@@ -383,7 +414,7 @@ fn put_validation_error(out: &mut Vec<u8>, e: &ValidationError) {
     }
 }
 
-fn get_validation_error(cur: &mut Cur<'_>) -> Result<ValidationError, StoreError> {
+fn get_validation_error(cur: &mut Cur<'_, '_>) -> Result<ValidationError, StoreError> {
     match cur.u8()? {
         0 => Ok(ValidationError::EmptyHead),
         1 => {
@@ -416,7 +447,7 @@ fn put_reject_reason(out: &mut Vec<u8>, r: &RejectReason) {
     }
 }
 
-fn get_reject_reason(cur: &mut Cur<'_>) -> Result<RejectReason, StoreError> {
+fn get_reject_reason(cur: &mut Cur<'_, '_>) -> Result<RejectReason, StoreError> {
     match cur.u8()? {
         0 => Ok(RejectReason::Invalid(get_validation_error(cur)?)),
         1 => Ok(RejectReason::Unsafe),
@@ -434,7 +465,7 @@ fn put_tuple(out: &mut Vec<u8>, row: &[Value]) {
     }
 }
 
-fn get_tuple(cur: &mut Cur<'_>) -> Result<Tuple, StoreError> {
+fn get_tuple(cur: &mut Cur<'_, '_>) -> Result<Tuple, StoreError> {
     let n = cur.u32()? as usize;
     let mut row = Vec::with_capacity(n);
     for _ in 0..n {
@@ -466,14 +497,14 @@ fn put_outcome(out: &mut Vec<u8>, o: &QueryOutcome) {
     }
 }
 
-fn get_outcome(cur: &mut Cur<'_>) -> Result<QueryOutcome, StoreError> {
+fn get_outcome(cur: &mut Cur<'_, '_>) -> Result<QueryOutcome, StoreError> {
     match cur.u8()? {
         0 => {
             let query = QueryId(cur.u64()?);
             let n = cur.u32()? as usize;
             let mut relations = Vec::with_capacity(n);
             for _ in 0..n {
-                relations.push(eq_ir::Symbol::new(&cur.str()?));
+                relations.push(cur.symbol()?);
             }
             let n = cur.u32()? as usize;
             let mut tuples = Vec::with_capacity(n);
@@ -499,75 +530,77 @@ fn get_outcome(cur: &mut Cur<'_>) -> Result<QueryOutcome, StoreError> {
 // WAL records
 // ---------------------------------------------------------------------
 
-/// One durable event. Everything the service acknowledges flows
-/// through exactly one of these.
+/// One durable event, as replay decodes it. Everything the service
+/// acknowledges flows through exactly one of these. The writer never
+/// builds one: it encodes each kind straight from the data it borrows
+/// (`put_*_record`), into the open WAL batch.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum WalRecord {
-    CreateTable {
-        name: String,
-        columns: Vec<String>,
-    },
-    Load {
-        table: String,
-        rows: Vec<Tuple>,
-    },
-    Submit {
-        id: QueryId,
-        query: EntangledQuery,
-        tag: Option<String>,
-        on_no_solution: Option<NoSolutionPolicy>,
-    },
-    Outcome {
-        id: QueryId,
-        outcome: QueryOutcome,
-    },
+    CreateTable { name: String, columns: Vec<String> },
+    Load { table: String, rows: Vec<Tuple> },
+    Submit { id: QueryId, submit: SubmitRecord },
+    Outcome { id: QueryId, outcome: QueryOutcome },
 }
 
-/// Encodes one record under its sequence number. The number leads the
-/// payload so replay can skip records already folded into a checkpoint
-/// (see [`DurableCoordinator::checkpoint`]).
-fn encode_record(seqno: u64, rec: &WalRecord) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, seqno);
-    match rec {
-        WalRecord::CreateTable { name, columns } => {
-            out.push(1);
-            put_str(&mut out, name);
-            put_u32(&mut out, columns.len() as u32);
-            for c in columns {
-                put_str(&mut out, c);
-            }
-        }
-        WalRecord::Load { table, rows } => {
-            out.push(2);
-            put_str(&mut out, table);
-            put_u32(&mut out, rows.len() as u32);
-            for row in rows {
-                put_tuple(&mut out, row);
-            }
-        }
-        WalRecord::Submit {
-            id,
-            query,
-            tag,
-            on_no_solution,
-        } => {
-            out.push(3);
-            put_u64(&mut out, id.0);
-            put_query(&mut out, query);
-            put_opt_str(&mut out, tag.as_deref());
-            put_policy(&mut out, *on_no_solution);
-        }
-        WalRecord::Outcome { id, outcome } => {
-            out.push(4);
-            put_u64(&mut out, id.0);
-            put_outcome(&mut out, outcome);
-        }
+// Every record leads with its sequence number, so replay can skip
+// records already folded into a checkpoint (see
+// [`DurableCoordinator::checkpoint`]), then a kind tag.
+
+fn put_create_table_record(out: &mut Vec<u8>, seqno: u64, name: &str, columns: &[&str]) {
+    put_u64(out, seqno);
+    out.push(1);
+    put_str(out, name);
+    put_u32(out, columns.len() as u32);
+    for c in columns {
+        put_str(out, c);
     }
-    out
 }
 
-fn decode_record(bytes: &[u8]) -> Result<(u64, WalRecord), StoreError> {
-    let mut cur = Cur::new(bytes);
+fn put_load_record(out: &mut Vec<u8>, seqno: u64, table: &str, rows: &[Tuple]) {
+    put_u64(out, seqno);
+    out.push(2);
+    put_str(out, table);
+    put_u32(out, rows.len() as u32);
+    for row in rows {
+        put_tuple(out, row);
+    }
+}
+
+/// A submission: its id, then the same body a checkpoint's pending
+/// section carries.
+fn put_submit_record(out: &mut Vec<u8>, seqno: u64, id: QueryId, submit: &SubmitRecord) {
+    put_u64(out, seqno);
+    out.push(3);
+    put_u64(out, id.0);
+    put_submit(out, submit);
+}
+
+fn put_outcome_record(out: &mut Vec<u8>, seqno: u64, id: QueryId, outcome: &QueryOutcome) {
+    put_u64(out, seqno);
+    out.push(4);
+    put_u64(out, id.0);
+    put_outcome(out, outcome);
+}
+
+fn put_submit(out: &mut Vec<u8>, submit: &SubmitRecord) {
+    put_query(out, &submit.query);
+    put_opt_str(out, submit.tag.as_deref());
+    put_policy(out, submit.on_no_solution);
+}
+
+fn get_submit(cur: &mut Cur<'_, '_>) -> Result<SubmitRecord, StoreError> {
+    Ok(SubmitRecord {
+        query: get_query(cur)?,
+        tag: cur.opt_str()?,
+        on_no_solution: get_policy(cur)?,
+    })
+}
+
+fn decode_record<'a>(
+    bytes: &'a [u8],
+    symbols: &mut SymbolCache<'a>,
+) -> Result<(u64, WalRecord), StoreError> {
+    let mut cur = Cur::new(bytes, symbols);
     let seqno = cur.u64()?;
     let rec = match cur.u8()? {
         1 => {
@@ -590,15 +623,8 @@ fn decode_record(bytes: &[u8]) -> Result<(u64, WalRecord), StoreError> {
         }
         3 => {
             let id = QueryId(cur.u64()?);
-            let query = get_query(&mut cur)?;
-            let tag = cur.opt_str()?;
-            let on_no_solution = get_policy(&mut cur)?;
-            WalRecord::Submit {
-                id,
-                query,
-                tag,
-                on_no_solution,
-            }
+            let submit = get_submit(&mut cur)?;
+            WalRecord::Submit { id, submit }
         }
         4 => {
             let id = QueryId(cur.u64()?);
@@ -618,6 +644,7 @@ fn decode_record(bytes: &[u8]) -> Result<(u64, WalRecord), StoreError> {
 const CHECKPOINT_VERSION: u32 = 2;
 
 #[derive(Default)]
+#[cfg_attr(test, derive(Debug))]
 struct CheckpointImage {
     next_query_id: u64,
     /// WAL records with a sequence number below this are folded into
@@ -660,11 +687,9 @@ fn encode_checkpoint(
     let mut ordered: Vec<_> = pending.iter().collect();
     ordered.sort_by_key(|(id, _)| id.0);
     put_u32(&mut out, ordered.len() as u32);
-    for (id, rec) in ordered {
+    for (id, submit) in ordered {
         put_u64(&mut out, id.0);
-        put_query(&mut out, &rec.query);
-        put_opt_str(&mut out, rec.tag.as_deref());
-        put_policy(&mut out, rec.on_no_solution);
+        put_submit(&mut out, submit);
     }
 
     let mut ordered: Vec<_> = outcomes.iter().collect();
@@ -678,7 +703,8 @@ fn encode_checkpoint(
 }
 
 fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointImage, StoreError> {
-    let mut cur = Cur::new(bytes);
+    let mut symbols = SymbolCache::default();
+    let mut cur = Cur::new(bytes, &mut symbols);
     if cur.u32()? != CHECKPOINT_VERSION {
         return Err(StoreError::Corrupt("checkpoint version"));
     }
@@ -706,17 +732,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointImage, StoreError> {
     let mut pending = Vec::with_capacity(n);
     for _ in 0..n {
         let id = QueryId(cur.u64()?);
-        let query = get_query(&mut cur)?;
-        let tag = cur.opt_str()?;
-        let on_no_solution = get_policy(&mut cur)?;
-        pending.push((
-            id,
-            SubmitRecord {
-                query,
-                tag,
-                on_no_solution,
-            },
-        ));
+        pending.push((id, get_submit(&mut cur)?));
     }
 
     let n = cur.u32()? as usize;
@@ -739,14 +755,6 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointImage, StoreError> {
 // The sink and its shared state
 // ---------------------------------------------------------------------
 
-/// One acknowledged, not-yet-terminal submission, as the WAL knows it.
-#[derive(Clone, Debug)]
-struct SubmitRecord {
-    query: EntangledQuery,
-    tag: Option<String>,
-    on_no_solution: Option<NoSolutionPolicy>,
-}
-
 /// Shared durable bookkeeping: the open WAL plus the in-memory mirror
 /// of what it (together with the last checkpoint) proves — which
 /// acknowledged submissions are still pending and which outcomes have
@@ -754,8 +762,11 @@ struct SubmitRecord {
 /// the service shard locks.
 struct DurableState {
     wal: WriteAheadLog,
-    /// Sequence number the next appended record will carry. Appends
-    /// run under this lock, so numbers are strictly increasing in
+    /// Records encoded since the last [`DurableState::commit`]; reused
+    /// across commits.
+    batch: WalBatch,
+    /// Sequence number the next encoded record will carry. Records are
+    /// encoded under this lock, so numbers are strictly increasing in
     /// acknowledgment order and never reused — checkpoints record the
     /// watermark of what they fold in.
     next_seqno: u64,
@@ -764,16 +775,23 @@ struct DurableState {
 }
 
 impl DurableState {
-    /// Appends one record. An append failure is unrecoverable by
-    /// design: the caller is about to acknowledge the event, and
-    /// acknowledging without the log entry would break the recovery
-    /// contract — so this panics rather than silently dropping
-    /// durability.
-    fn append(&mut self, rec: &WalRecord) {
-        if let Err(e) = self.wal.append(&encode_record(self.next_seqno, rec)) {
+    /// Encodes one record, in place, into the open batch under the next
+    /// sequence number.
+    fn record(&mut self, encode: impl FnOnce(&mut Vec<u8>, u64)) {
+        let seqno = self.next_seqno;
+        self.batch.record(|out| encode(out, seqno));
+        self.next_seqno += 1;
+    }
+
+    /// Writes the open batch in one append: the acknowledgment point.
+    /// A failure is unrecoverable by design: the caller is about to
+    /// acknowledge the batch's events, and acknowledging without the
+    /// log entries would break the recovery contract — so this panics
+    /// rather than silently dropping durability.
+    fn commit(&mut self) {
+        if let Err(e) = self.wal.append_batch(&mut self.batch) {
             panic!("write-ahead append failed: {e}");
         }
-        self.next_seqno += 1;
     }
 }
 
@@ -782,46 +800,31 @@ struct WalSink {
 }
 
 impl DurabilitySink for WalSink {
-    fn record_submit(
-        &mut self,
-        id: QueryId,
-        query: &EntangledQuery,
-        tag: Option<&str>,
-        on_no_solution: Option<NoSolutionPolicy>,
-    ) {
+    fn record_submits(&mut self, submits: Vec<(QueryId, SubmitRecord)>) {
         let mut state = self.state.lock();
-        state.append(&WalRecord::Submit {
-            id,
-            query: query.clone(),
-            tag: tag.map(str::to_owned),
-            on_no_solution,
-        });
-        state.pending.insert(
-            id,
-            SubmitRecord {
-                query: query.clone(),
-                tag: tag.map(str::to_owned),
-                on_no_solution,
-            },
-        );
+        for (id, submit) in &submits {
+            state.record(|out, seqno| put_submit_record(out, seqno, *id, submit));
+        }
+        state.commit();
+        state.pending.extend(submits);
     }
 
-    fn record_outcome(&mut self, id: QueryId, outcome: &QueryOutcome) {
+    fn record_outcomes(&mut self, outcomes: &[(QueryId, QueryOutcome)]) {
         let mut state = self.state.lock();
-        state.append(&WalRecord::Outcome {
-            id,
-            outcome: outcome.clone(),
-        });
-        state.pending.remove(&id);
-        state.outcomes.insert(id, outcome.clone());
+        for (id, outcome) in outcomes {
+            state.record(|out, seqno| put_outcome_record(out, seqno, *id, outcome));
+        }
+        state.commit();
+        for (id, outcome) in outcomes {
+            state.pending.remove(id);
+            state.outcomes.insert(*id, outcome.clone());
+        }
     }
 
     fn record_load(&mut self, table: &str, rows: &[Tuple]) {
         let mut state = self.state.lock();
-        state.append(&WalRecord::Load {
-            table: table.to_owned(),
-            rows: rows.to_vec(),
-        });
+        state.record(|out, seqno| put_load_record(out, seqno, table, rows));
+        state.commit();
     }
 }
 
@@ -883,10 +886,12 @@ impl DurableCoordinator {
             None => CheckpointImage::default(),
         };
         let (mut wal, raw) = WriteAheadLog::open(&dir.join(WAL_FILE))?;
+        let mut symbols = SymbolCache::default();
         let mut records = Vec::with_capacity(raw.len());
         for bytes in &raw {
-            records.push(decode_record(bytes)?);
+            records.push(decode_record(bytes, &mut symbols)?);
         }
+        drop(symbols);
 
         // Skip records the checkpoint already folded in. Normally the
         // checkpoint truncates the log, but a kill between the image
@@ -903,10 +908,13 @@ impl DurableCoordinator {
             // the log as just the surviving suffix, restoring the
             // "log = suffix since the last checkpoint" invariant.
             wal.truncate()?;
+            let mut batch = WalBatch::default();
             for bytes in &raw[stale..] {
-                wal.append(bytes)?;
+                batch.push(bytes);
             }
+            wal.append_batch(&mut batch)?;
         }
+        drop(raw);
         let mut next_seqno = image.wal_seqno;
         for (seqno, _) in &records[stale..] {
             next_seqno = next_seqno.max(seqno + 1);
@@ -914,11 +922,11 @@ impl DurableCoordinator {
 
         // Checkpoint state, then the log suffix on top of it.
         let mut db = Database::new();
-        for (name, columns, rows) in &image.tables {
+        for (name, columns, rows) in image.tables {
             let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-            db.create_table(name, &cols)
+            db.create_table(&name, &cols)
                 .map_err(CoordinationError::from)?;
-            db.insert_many(name, rows.clone())
+            db.insert_many(&name, rows)
                 .map_err(CoordinationError::from)?;
         }
         let mut pending: FastMap<QueryId, SubmitRecord> = image.pending.into_iter().collect();
@@ -935,21 +943,9 @@ impl DurableCoordinator {
                     db.insert_many(&table, rows)
                         .map_err(CoordinationError::from)?;
                 }
-                WalRecord::Submit {
-                    id,
-                    query,
-                    tag,
-                    on_no_solution,
-                } => {
+                WalRecord::Submit { id, submit } => {
                     watermark = watermark.max(id.0 + 1);
-                    pending.insert(
-                        id,
-                        SubmitRecord {
-                            query,
-                            tag,
-                            on_no_solution,
-                        },
-                    );
+                    pending.insert(id, submit);
                 }
                 WalRecord::Outcome { id, outcome } => {
                     pending.remove(&id);
@@ -961,6 +957,7 @@ impl DurableCoordinator {
         let coordinator = Coordinator::new(db, config);
         let state = Arc::new(Mutex::new(DurableState {
             wal,
+            batch: WalBatch::default(),
             next_seqno,
             pending: pending.clone(),
             outcomes,
@@ -1008,10 +1005,9 @@ impl DurableCoordinator {
     pub fn create_table(&self, name: &str, columns: &[&str]) -> Result<(), CoordinationError> {
         self.coordinator.with_exclusive(|| {
             self.coordinator.db().write().create_table(name, columns)?;
-            self.state.lock().append(&WalRecord::CreateTable {
-                name: name.to_owned(),
-                columns: columns.iter().map(|c| (*c).to_owned()).collect(),
-            });
+            let mut state = self.state.lock();
+            state.record(|out, seqno| put_create_table_record(out, seqno, name, columns));
+            state.commit();
             Ok(())
         })
     }
@@ -1032,8 +1028,10 @@ impl DurableCoordinator {
         self.coordinator.submit_request(request.into())
     }
 
-    /// Submits a batch durably (see [`crate::Session::submit_batch`]);
-    /// each admitted query's record precedes the batch's return.
+    /// Submits a batch durably (see [`crate::Session::submit_batch`]):
+    /// the records of the admitted queries go to the WAL in one write
+    /// before the batch returns (on a sharded service, one write per
+    /// run of consecutive requests routed to the same shard).
     pub fn submit_batch(
         &self,
         requests: Vec<SubmitRequest>,
@@ -1118,6 +1116,20 @@ impl DurableCoordinator {
     /// truncation points.
     pub fn wal_len_bytes(&self) -> u64 {
         self.state.lock().wal.len_bytes()
+    }
+
+    /// WAL `write` calls since this coordinator was opened: one per
+    /// acknowledgment point that recorded anything (a submit, a
+    /// `submit_batch`, a shard's drained outcome log, a load, a table),
+    /// plus one if `open` finished an interrupted checkpoint's
+    /// truncation.
+    pub fn wal_writes(&self) -> u64 {
+        self.state.lock().wal.writes()
+    }
+
+    /// WAL records appended since this coordinator was opened.
+    pub fn wal_records(&self) -> u64 {
+        self.state.lock().wal.records()
     }
 }
 
@@ -1272,9 +1284,53 @@ mod tests {
         eq_store::purge_dir(&dir);
     }
 
+    /// Encodes a decoded record through the writer's own encoders.
+    fn encode_record(seqno: u64, rec: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        match rec {
+            WalRecord::CreateTable { name, columns } => {
+                let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
+                put_create_table_record(&mut out, seqno, name, &cols);
+            }
+            WalRecord::Load { table, rows } => put_load_record(&mut out, seqno, table, rows),
+            WalRecord::Submit { id, submit } => put_submit_record(&mut out, seqno, *id, submit),
+            WalRecord::Outcome { id, outcome } => put_outcome_record(&mut out, seqno, *id, outcome),
+        }
+        out
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn golden_query() -> EntangledQuery {
+        q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris), x >= 5")
+    }
+
+    fn golden_answer() -> QueryOutcome {
+        QueryOutcome::Answered(QueryAnswer {
+            query: QueryId(7),
+            relations: vec![Symbol::new("R")],
+            tuples: vec![vec![Value::str("Jerry"), Value::int(9)]],
+        })
+    }
+
+    fn golden_invalid() -> QueryOutcome {
+        QueryOutcome::Failed(FailReason::Rejected(RejectReason::Invalid(
+            ValidationError::NotRangeRestricted {
+                var: Var(2),
+                polarity: Polarity::Postcondition,
+            },
+        )))
+    }
+
+    /// The on-disk record format, pinned: one record of each kind from
+    /// fixed inputs must encode to exactly these bytes (recorded from
+    /// the per-record writer this format was introduced with) and
+    /// decode back to its inputs. A format change fails here before it
+    /// can strand an existing state directory.
     #[test]
     fn wal_records_round_trip() {
-        let query = q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris), x >= 5");
         let records = [
             WalRecord::CreateTable {
                 name: "F".into(),
@@ -1286,35 +1342,141 @@ mod tests {
             },
             WalRecord::Submit {
                 id: QueryId(7),
-                query: query.clone(),
-                tag: Some("t".into()),
-                on_no_solution: Some(NoSolutionPolicy::KeepPending),
+                submit: SubmitRecord {
+                    query: golden_query(),
+                    tag: Some("t".into()),
+                    on_no_solution: Some(NoSolutionPolicy::KeepPending),
+                },
             },
             WalRecord::Outcome {
                 id: QueryId(7),
-                outcome: QueryOutcome::Answered(QueryAnswer {
-                    query: QueryId(7),
-                    relations: vec![eq_ir::Symbol::new("R")],
-                    tuples: vec![vec![Value::str("Jerry"), Value::int(9)]],
-                }),
+                outcome: golden_answer(),
             },
             WalRecord::Outcome {
                 id: QueryId(8),
-                outcome: QueryOutcome::Failed(FailReason::Rejected(RejectReason::NoSolution)),
+                outcome: golden_invalid(),
             },
         ];
-        for (i, rec) in records.iter().enumerate() {
-            let seqno = i as u64 * 3 + 1;
-            let bytes = encode_record(seqno, rec);
-            let (back_seqno, back) = decode_record(&bytes).unwrap();
-            assert_eq!(back_seqno, seqno, "sequence number must round-trip");
-            assert_eq!(
-                encode_record(back_seqno, &back),
-                bytes,
-                "codec must be stable"
-            );
+        let golden = [
+            "01000000000000000101000000460200000003000000666e6f0400000064657374",
+            "0200000000000000020100000046010000000200000000fdffffffffffffff01050000005061726973",
+            "03000000000000000307000000000000000000000000000000010000000100000052020000000001\
+             060000004b72616d65720100000000010000000100000052020000000001050000004a6572727901\
+             00000000010000000100000046020000000100000000000105000000506172697301000000010000\
+             000003000005000000000000000100000001010000007402",
+            "0400000000000000040700000000000000000700000000000000010000000100000052010000000200\
+             000001050000004a65727279000900000000000000",
+            "05000000000000000408000000000000000100010200000001",
+        ];
+        let mut symbols = SymbolCache::default();
+        let encoded: Vec<Vec<u8>> = records
+            .iter()
+            .enumerate()
+            .map(|(i, rec)| encode_record(i as u64 + 1, rec))
+            .collect();
+        for (i, (bytes, rec)) in encoded.iter().zip(&records).enumerate() {
+            assert_eq!(hex(bytes), golden[i], "record {i} bytes");
+            let (seqno, back) = decode_record(bytes, &mut symbols).unwrap();
+            assert_eq!(seqno, i as u64 + 1, "sequence number must round-trip");
+            assert_eq!(&back, rec, "record {i} decodes to its inputs");
         }
-        assert!(decode_record(&[9, 0, 0]).is_err());
+        let mut symbols = SymbolCache::default();
+        assert!(decode_record(&[9, 0, 0], &mut symbols).is_err());
+    }
+
+    /// The checkpoint image format, pinned like the records:
+    /// `CHECKPOINT_VERSION` 2, tables, pending, outcomes.
+    #[test]
+    fn checkpoint_image_matches_golden_bytes() {
+        let mut db = Database::new();
+        db.create_table("F", &["fno", "dest"]).unwrap();
+        let rows = vec![
+            vec![Value::int(122), Value::str("Paris")],
+            vec![Value::int(136), Value::str("Rome")],
+        ];
+        db.insert_many("F", rows.clone()).unwrap();
+        let submit = SubmitRecord {
+            query: golden_query(),
+            tag: None,
+            on_no_solution: Some(NoSolutionPolicy::Reject),
+        };
+        let mut pending = FastMap::default();
+        pending.insert(QueryId(7), submit.clone());
+        let mut outcomes = FastMap::default();
+        outcomes.insert(QueryId(5), golden_answer());
+        outcomes.insert(QueryId(6), QueryOutcome::Failed(FailReason::Stale));
+        outcomes.insert(QueryId(8), golden_invalid());
+        let bytes = encode_checkpoint(&db, 9, 6, &pending, &outcomes);
+        assert_eq!(
+            hex(&bytes),
+            "0200000009000000000000000600000000000000010000000100000046020000000300000066\
+             6e6f04000000646573740200000002000000007a000000000000000105000000506172697302\
+             0000000088000000000000000104000000526f6d650100000007000000000000000000000000\
+             000000010000000100000052020000000001060000004b72616d657201000000000100000001\
+             00000052020000000001050000004a6572727901000000000100000001000000460200000001\
+             000000000001050000005061726973010000000100000000030000050000000000000001000000\
+             000103000000050000000000000000070000000000000001000000010000005201000000020000\
+             0001050000004a6572727900090000000000000006000000000000000208000000000000000100\
+             010200000001"
+        );
+        let image = decode_checkpoint(&bytes).unwrap();
+        assert_eq!((image.next_query_id, image.wal_seqno), (9, 6));
+        assert_eq!(
+            image.tables,
+            vec![(
+                "F".to_string(),
+                vec!["fno".to_string(), "dest".to_string()],
+                rows
+            )]
+        );
+        assert_eq!(image.pending.len(), 1);
+        assert_eq!(image.pending[0].0, QueryId(7));
+        assert_eq!(image.pending[0].1, submit);
+        assert_eq!(
+            image.outcomes,
+            vec![
+                (QueryId(5), golden_answer()),
+                (QueryId(6), QueryOutcome::Failed(FailReason::Stale)),
+                (QueryId(8), golden_invalid()),
+            ]
+        );
+    }
+
+    /// One WAL write per acknowledgment point, one record per event.
+    #[test]
+    fn wal_writes_once_per_acknowledgment_point() {
+        let dir = eq_store::scratch_dir("durable-writes");
+        let dc = DurableCoordinator::open(&dir, config()).unwrap();
+        seed(&dc); // a table and a load: two writes, two records
+        let counts = |dc: &DurableCoordinator| (dc.wal_writes(), dc.wal_records());
+        assert_eq!(counts(&dc), (2, 2));
+
+        // A 50-query submit_batch: 25 pairs, one write, 50 records.
+        let requests: Vec<SubmitRequest> = (0..25)
+            .flat_map(|i| {
+                [
+                    q(&format!("{{R(B{i}, x)}} R(A{i}, x) <- F(x, Paris)")),
+                    q(&format!("{{R(A{i}, y)}} R(B{i}, y) <- F(y, Paris)")),
+                ]
+            })
+            .map(SubmitRequest::new)
+            .collect();
+        assert!(dc.submit_batch(requests).iter().all(Result::is_ok));
+        assert_eq!(counts(&dc), (3, 52));
+
+        // A flush that answers k = 50 queries: one write, k records.
+        assert_eq!(dc.flush().answered, 50);
+        assert_eq!(counts(&dc), (4, 102));
+
+        // A flush with no outcomes writes nothing.
+        dc.submit(SubmitRequest::new(q(
+            "{R(Newman, z)} R(Frank, z) <- F(z, Rome)",
+        )))
+        .unwrap();
+        assert_eq!(counts(&dc), (5, 103));
+        assert_eq!(dc.flush().answered, 0);
+        assert_eq!(counts(&dc), (5, 103));
+        eq_store::purge_dir(&dir);
     }
 
     #[test]

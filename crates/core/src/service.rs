@@ -283,29 +283,36 @@ impl Event {
 
 /// The durability hook: a write-ahead recorder consulted inside the
 /// owning shard's critical section at the two points that define the
-/// crash-recovery contract — after a submission is admitted (before
-/// its handle is released to the caller) and when a terminal outcome
-/// is drained (before its event is staged for dispatch).
+/// crash-recovery contract — after submissions are admitted (before
+/// their handles are released to the caller) and when terminal outcomes
+/// are drained (before their events are staged for dispatch). Each call
+/// records a whole acknowledgment point: an implementation writes it
+/// in one append.
 /// `eq_core::durable` installs a WAL-backed implementation; the trait
 /// stays crate-private so the recording points cannot be bypassed or
 /// reordered from outside.
 pub(crate) trait DurabilitySink: Send {
-    /// An admitted submission: `id` was assigned and the caller is
-    /// about to be handed its handle. Deadlines are deliberately not
-    /// recorded — wall-clock instants don't survive a restart; a
-    /// recovered query re-enters the pool deadline-free.
-    fn record_submit(
-        &mut self,
-        id: QueryId,
-        query: &EntangledQuery,
-        tag: Option<&str>,
-        on_no_solution: Option<NoSolutionPolicy>,
-    );
-    /// A terminal outcome, drained from the engine's outcome log and
-    /// not yet staged for broadcast.
-    fn record_outcome(&mut self, id: QueryId, outcome: &QueryOutcome);
+    /// The admitted submissions of one `submit` or `submit_batch`, in
+    /// id order: each id was assigned and the caller is about to be
+    /// handed its handle. The sink takes the records over.
+    fn record_submits(&mut self, submits: Vec<(QueryId, SubmitRecord)>);
+    /// Terminal outcomes drained from one shard's outcome log, in
+    /// retirement order, not yet staged for broadcast.
+    fn record_outcomes(&mut self, outcomes: &[(QueryId, QueryOutcome)]);
     /// A successful bulk load into `table`.
     fn record_load(&mut self, table: &str, rows: &[Tuple]);
+}
+
+/// One acknowledged submission as the durability sink records it.
+/// Deadlines are deliberately absent — wall-clock instants don't
+/// survive a restart; a recovered query re-enters the pool
+/// deadline-free.
+#[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
+pub(crate) struct SubmitRecord {
+    pub(crate) query: EntangledQuery,
+    pub(crate) tag: Option<String>,
+    pub(crate) on_no_solution: Option<NoSolutionPolicy>,
 }
 
 /// One engine shard: a slice of the pending pool behind its own lock.
@@ -889,11 +896,10 @@ impl Coordinator {
     fn stage_outcomes(&self, inner: &mut ShardInner) {
         let outcomes = inner.engine.drain_outcome_log();
         if !outcomes.is_empty() {
-            let mut sink = self.shared.sink.lock();
+            if let Some(sink) = self.shared.sink.lock().as_mut() {
+                sink.record_outcomes(&outcomes);
+            }
             for (id, outcome) in outcomes {
-                if let Some(sink) = sink.as_mut() {
-                    sink.record_outcome(id, &outcome);
-                }
                 let tag = inner.tags.remove(&id);
                 let event = match outcome {
                     QueryOutcome::Answered(answer) => Event::Answered { id, tag, answer },
@@ -1036,7 +1042,12 @@ impl Coordinator {
         if let Ok(handle) = &result {
             if let Some(query) = logged {
                 if let Some(sink) = self.shared.sink.lock().as_mut() {
-                    sink.record_submit(handle.id, &query, tag.as_deref(), opts.on_no_solution);
+                    let submit = SubmitRecord {
+                        query,
+                        tag: tag.clone(),
+                        on_no_solution: opts.on_no_solution,
+                    };
+                    sink.record_submits(vec![(handle.id, submit)]);
                 }
             }
             if let Some(tag) = tag {
@@ -1140,41 +1151,40 @@ impl Coordinator {
         requests: Vec<SubmitRequest>,
         now: Instant,
     ) -> Vec<Result<QueryHandle, CoordinationError>> {
+        let logging = self.shared.has_sink.load(Ordering::Relaxed);
         let mut tags: Vec<Option<String>> = Vec::with_capacity(requests.len());
-        let mut opts_list: Vec<SubmitOptions> = Vec::with_capacity(requests.len());
-        let logged: Option<Vec<EntangledQuery>> = self
-            .shared
-            .has_sink
-            .load(Ordering::Relaxed)
-            .then(|| requests.iter().map(|r| r.query.clone()).collect());
+        let mut logged: Vec<SubmitRecord> = Vec::new();
         let batch: Vec<(EntangledQuery, SubmitOptions)> = requests
             .into_iter()
             .map(|r| {
                 let opts = r.to_options(now);
+                if logging {
+                    logged.push(SubmitRecord {
+                        query: r.query.clone(),
+                        tag: r.tag.clone(),
+                        on_no_solution: opts.on_no_solution,
+                    });
+                }
                 tags.push(r.tag);
-                opts_list.push(opts);
                 (r.query, opts)
             })
             .collect();
         let results = inner
             .engine
             .submit_batch_with_source(batch, Some(&self.shared.next_id));
-        {
-            let mut sink = self.shared.sink.lock();
-            for (i, (result, tag)) in results.iter().zip(tags).enumerate() {
-                if let Ok(handle) = result {
-                    if let (Some(sink), Some(queries)) = (sink.as_mut(), logged.as_ref()) {
-                        sink.record_submit(
-                            handle.id,
-                            &queries[i],
-                            tag.as_deref(),
-                            opts_list[i].on_no_solution,
-                        );
-                    }
-                    if let Some(tag) = tag {
-                        inner.tags.insert(handle.id, tag);
-                    }
-                }
+        let submits: Vec<(QueryId, SubmitRecord)> = logged
+            .into_iter()
+            .zip(&results)
+            .filter_map(|(submit, result)| Some((result.as_ref().ok()?.id, submit)))
+            .collect();
+        if !submits.is_empty() {
+            if let Some(sink) = self.shared.sink.lock().as_mut() {
+                sink.record_submits(submits);
+            }
+        }
+        for (result, tag) in results.iter().zip(tags) {
+            if let (Ok(handle), Some(tag)) = (result, tag) {
+                inner.tags.insert(handle.id, tag);
             }
         }
         self.stage_outcomes(inner);

@@ -44,7 +44,11 @@ pub fn write_checkpoint(path: &Path, payload: &[u8]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Reads a checkpoint. `Ok(None)` when no checkpoint exists yet;
+/// Header bytes before the payload: magic, checksum, payload length.
+const HEADER: usize = 20;
+
+/// Reads a checkpoint and returns its payload, read straight into one
+/// buffer of its exact size. `Ok(None)` when no checkpoint exists yet;
 /// [`StoreError::Corrupt`] when a file is present but fails
 /// validation (rename-atomicity makes that an outside-interference
 /// signal, not a crash artifact).
@@ -54,23 +58,35 @@ pub fn read_checkpoint(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    if bytes.len() < 20 || &bytes[..8] != MAGIC {
+    let size = file.metadata()?.len();
+    let mut header = [0u8; HEADER];
+    if size < HEADER as u64 {
         return Err(StoreError::Corrupt("checkpoint header"));
     }
-    let sum = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+    file.read_exact(&mut header)?;
+    if &header[..8] != MAGIC {
+        return Err(StoreError::Corrupt("checkpoint header"));
+    }
+    let sum = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
     let len = u64::from_le_bytes([
-        bytes[12], bytes[13], bytes[14], bytes[15], bytes[16], bytes[17], bytes[18], bytes[19],
-    ]) as usize;
-    if bytes.len() - 20 != len {
+        header[12], header[13], header[14], header[15], header[16], header[17], header[18],
+        header[19],
+    ]);
+    // The length field must match the file, which also bounds the
+    // allocation below by what is actually on disk.
+    if size - HEADER as u64 != len {
         return Err(StoreError::Corrupt("checkpoint length"));
     }
-    let payload = &bytes[20..];
-    if fnv1a(payload) != sum {
+    let len = usize::try_from(len).map_err(|_| StoreError::Corrupt("checkpoint length"))?;
+    let mut payload = Vec::with_capacity(len);
+    file.read_to_end(&mut payload)?;
+    if payload.len() != len {
+        return Err(StoreError::Corrupt("checkpoint length"));
+    }
+    if fnv1a(&payload) != sum {
         return Err(StoreError::Corrupt("checkpoint checksum"));
     }
-    Ok(Some(payload.to_vec()))
+    Ok(Some(payload))
 }
 
 #[cfg(test)]
@@ -108,6 +124,32 @@ mod tests {
         assert!(matches!(
             read_checkpoint(&path),
             Err(StoreError::Corrupt("checkpoint checksum"))
+        ));
+        crate::purge_dir(&dir);
+    }
+
+    #[test]
+    fn short_or_resized_images_are_rejected() {
+        let dir = crate::scratch_dir("ckpt-size");
+        let path = dir.join("state.ckpt");
+        std::fs::write(&path, b"EQCHK").unwrap();
+        assert!(matches!(
+            read_checkpoint(&path),
+            Err(StoreError::Corrupt("checkpoint header"))
+        ));
+        write_checkpoint(&path, b"payload-bytes").unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.push(0);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_checkpoint(&path),
+            Err(StoreError::Corrupt("checkpoint length"))
+        ));
+        bytes.truncate(bytes.len() - 2);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_checkpoint(&path),
+            Err(StoreError::Corrupt("checkpoint length"))
         ));
         crate::purge_dir(&dir);
     }

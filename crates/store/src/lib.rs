@@ -39,7 +39,7 @@ pub use cache::{PageCacheConfig, PageStore};
 pub use checkpoint::{read_checkpoint, write_checkpoint};
 pub use error::StoreError;
 pub use table::PagedTable;
-pub use wal::WriteAheadLog;
+pub use wal::{WalBatch, WriteAheadLog};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

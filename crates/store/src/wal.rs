@@ -11,13 +11,22 @@
 //!
 //! # Durability model
 //!
-//! [`WriteAheadLog::append`] is write-through to the OS but does
-//! **not** fsync: an acknowledged record survives a **process kill**
-//! (the tested crash model), not necessarily an OS crash or power
-//! loss. Callers that need machine-crash durability call
-//! [`WriteAheadLog::sync_data`] at their acknowledgment points and pay
-//! the fsync per batch; checkpoints are always fsync'd
-//! (`crate::checkpoint`).
+//! Records are appended in batches: the caller encodes each payload in
+//! place into a reusable [`WalBatch`], which frames it, and
+//! [`WriteAheadLog::append_batch`] hands the whole batch to the OS in
+//! one `write_all` — one write per acknowledgment point, however many
+//! records it acknowledges ([`WriteAheadLog::append`] is a batch of
+//! one). A kill during that write can tear it anywhere, even inside an
+//! earlier record of the batch; replay keeps the intact prefix, which
+//! is a prefix of the batch. Nothing in a batch is acknowledged before
+//! the whole batch is written.
+//!
+//! An append is write-through to the OS but does **not** fsync: an
+//! acknowledged record survives a **process kill** (the tested crash
+//! model), not necessarily an OS crash or power loss. Callers that
+//! need machine-crash durability call [`WriteAheadLog::sync_data`] at
+//! their acknowledgment points and pay the fsync per batch; checkpoints
+//! are always fsync'd (`crate::checkpoint`).
 
 use crate::error::StoreError;
 use std::fs::{File, OpenOptions};
@@ -34,10 +43,70 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
     hash
 }
 
+/// Record header bytes: payload length, then checksum.
+const HEADER: usize = 8;
+
+/// Capacity a [`WalBatch`] keeps across batches. A larger batch (a bulk
+/// load) gives its buffer back once written, so one big record does
+/// not pin its size in memory for the rest of the process.
+const RETAINED_CAPACITY: usize = 64 << 10;
+
+/// A reusable buffer of framed records, written by
+/// [`WriteAheadLog::append_batch`] in one write.
+#[derive(Default)]
+pub struct WalBatch {
+    buf: Vec<u8>,
+    records: u64,
+}
+
+impl WalBatch {
+    /// Appends one record whose payload `encode` writes in place: it
+    /// must only append to the buffer it is given. The batch frames it
+    /// (length, checksum) around what `encode` wrote.
+    pub fn record(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; HEADER]);
+        encode(&mut self.buf);
+        assert!(
+            self.buf.len() >= start + HEADER,
+            "a WAL record encoder must only append"
+        );
+        let payload = &self.buf[start + HEADER..];
+        let len = u32::try_from(payload.len()).expect("WAL record over 4 GiB");
+        let sum = fnv1a(payload);
+        self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[start + 4..start + HEADER].copy_from_slice(&sum.to_le_bytes());
+        self.records += 1;
+    }
+
+    /// Appends one record with an already-encoded payload.
+    pub fn push(&mut self, payload: &[u8]) {
+        self.record(|out| out.extend_from_slice(payload));
+    }
+
+    /// True if the batch holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    fn clear(&mut self) {
+        self.records = 0;
+        if self.buf.capacity() > RETAINED_CAPACITY {
+            self.buf = Vec::new();
+        } else {
+            self.buf.clear();
+        }
+    }
+}
+
 /// An open write-ahead log.
 pub struct WriteAheadLog {
     file: File,
     len: u64,
+    /// `write` calls made by [`WriteAheadLog::append_batch`].
+    writes: u64,
+    /// Records those writes carried.
+    records: u64,
 }
 
 impl WriteAheadLog {
@@ -62,7 +131,7 @@ impl WriteAheadLog {
 
         let mut records = Vec::new();
         let mut offset = 0usize;
-        while bytes.len() - offset >= 8 {
+        while bytes.len() - offset >= HEADER {
             let len = u32::from_le_bytes([
                 bytes[offset],
                 bytes[offset + 1],
@@ -75,15 +144,15 @@ impl WriteAheadLog {
                 bytes[offset + 6],
                 bytes[offset + 7],
             ]);
-            if bytes.len() - offset - 8 < len {
+            if bytes.len() - offset - HEADER < len {
                 break; // torn tail: record body never finished
             }
-            let payload = &bytes[offset + 8..offset + 8 + len];
+            let payload = &bytes[offset + HEADER..offset + HEADER + len];
             if fnv1a(payload) != sum {
                 break; // torn or corrupted tail
             }
             records.push(payload.to_vec());
-            offset += 8 + len;
+            offset += HEADER + len;
         }
         if (offset as u64) < bytes.len() as u64 {
             file.set_len(offset as u64)?;
@@ -93,23 +162,36 @@ impl WriteAheadLog {
             WriteAheadLog {
                 file,
                 len: offset as u64,
+                writes: 0,
+                records: 0,
             },
             records,
         ))
     }
 
-    /// Appends one record. The record is on the OS side of the write
-    /// when this returns — process-kill durable, not power-loss
-    /// durable (see the module docs; [`WriteAheadLog::sync_data`] is
-    /// the opt-in for the latter).
-    pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        let mut record = Vec::with_capacity(8 + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        record.extend_from_slice(payload);
-        self.file.write_all(&record)?;
-        self.len += record.len() as u64;
+    /// Writes every record in `batch` with one `write_all` and empties
+    /// the batch for reuse. An empty batch writes nothing. The records
+    /// are on the OS side of the write when this returns —
+    /// process-kill durable, not power-loss durable (see the module
+    /// docs; [`WriteAheadLog::sync_data`] is the opt-in for the
+    /// latter).
+    pub fn append_batch(&mut self, batch: &mut WalBatch) -> Result<(), StoreError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.file.write_all(&batch.buf)?;
+        self.len += batch.buf.len() as u64;
+        self.writes += 1;
+        self.records += batch.records;
+        batch.clear();
         Ok(())
+    }
+
+    /// Appends one record: a batch of one.
+    pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
+        let mut batch = WalBatch::default();
+        batch.push(payload);
+        self.append_batch(&mut batch)
     }
 
     /// Flushes every appended record to stable storage (`fdatasync`).
@@ -133,6 +215,17 @@ impl WriteAheadLog {
     /// Bytes of intact records currently in the log.
     pub fn len_bytes(&self) -> u64 {
         self.len
+    }
+
+    /// `write` calls made by appends since this log was opened (a
+    /// truncation does not reset it).
+    pub fn writes(&self) -> u64 {
+        self.writes
+    }
+
+    /// Records appended since this log was opened.
+    pub fn records(&self) -> u64 {
+        self.records
     }
 }
 
@@ -161,6 +254,20 @@ mod tests {
     }
 
     #[test]
+    fn record_framing_matches_golden_bytes() {
+        let dir = crate::scratch_dir("wal-golden");
+        let path = dir.join("log.wal");
+        {
+            let (mut wal, _) = WriteAheadLog::open(&path).unwrap();
+            wal.append(b"alpha").unwrap();
+        }
+        let mut golden = vec![0x05, 0, 0, 0, 0xab, 0x6d, 0x8b, 0x5d];
+        golden.extend_from_slice(b"alpha");
+        assert_eq!(std::fs::read(&path).unwrap(), golden);
+        crate::purge_dir(&dir);
+    }
+
+    #[test]
     fn torn_tail_is_dropped_and_truncated() {
         let dir = crate::scratch_dir("wal-torn");
         let path = dir.join("log.wal");
@@ -181,6 +288,67 @@ mod tests {
         assert_eq!(replayed, vec![b"keep-me".to_vec()]);
         assert_eq!(wal.len_bytes(), intact_len);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), intact_len);
+        crate::purge_dir(&dir);
+    }
+
+    #[test]
+    fn a_batch_is_one_write_and_a_tear_inside_it_keeps_a_prefix() {
+        let dir = crate::scratch_dir("wal-batch");
+        let path = dir.join("log.wal");
+        let payloads: [&[u8]; 3] = [b"first", b"", b"third-record"];
+        let boundaries;
+        {
+            let (mut wal, _) = WriteAheadLog::open(&path).unwrap();
+            let mut batch = WalBatch::default();
+            wal.append_batch(&mut batch).unwrap();
+            assert_eq!((wal.writes(), wal.records()), (0, 0), "empty batch");
+            for p in payloads {
+                batch.record(|out| out.extend_from_slice(p));
+            }
+            assert_eq!(batch.records, 3);
+            wal.append_batch(&mut batch).unwrap();
+            assert!(batch.is_empty(), "a written batch is emptied for reuse");
+            assert_eq!((wal.writes(), wal.records()), (1, 3));
+            boundaries = [8 + 5, 8 + 5 + 8, wal.len_bytes()];
+        }
+        // Same bytes as three single appends: batching is not a format.
+        let single = dir.join("single.wal");
+        {
+            let (mut wal, _) = WriteAheadLog::open(&single).unwrap();
+            for p in payloads {
+                wal.append(p).unwrap();
+            }
+            assert_eq!((wal.writes(), wal.records()), (3, 3));
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes, std::fs::read(&single).unwrap());
+        // A cut anywhere in the batched write replays the records that
+        // end at or before it.
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let (wal, replayed) = WriteAheadLog::open(&path).unwrap();
+            let whole = boundaries.iter().filter(|&&b| b as usize <= cut).count();
+            let expected: Vec<Vec<u8>> = payloads[..whole].iter().map(|p| p.to_vec()).collect();
+            assert_eq!(replayed, expected, "cut at {cut}");
+            assert_eq!(
+                wal.len_bytes(),
+                if whole == 0 { 0 } else { boundaries[whole - 1] }
+            );
+        }
+        crate::purge_dir(&dir);
+    }
+
+    #[test]
+    fn a_large_batch_gives_its_buffer_back() {
+        let mut batch = WalBatch::default();
+        batch.push(&vec![7u8; 2 * RETAINED_CAPACITY]);
+        let dir = crate::scratch_dir("wal-shrink");
+        let (mut wal, _) = WriteAheadLog::open(&dir.join("log.wal")).unwrap();
+        wal.append_batch(&mut batch).unwrap();
+        assert_eq!(batch.buf.capacity(), 0);
+        batch.push(b"small");
+        wal.append_batch(&mut batch).unwrap();
+        assert!(batch.buf.capacity() > 0, "a small batch keeps its buffer");
         crate::purge_dir(&dir);
     }
 

@@ -21,7 +21,8 @@
 # held to 3 per retired atom, an 800-query shared-ring smoke
 # asserting the undo-log op counters, and the fig_store
 # out-of-core paging + kill-and-recover smoke, published as
-# BENCH_fig_store.json with budget/fault assertions). Everything runs
+# BENCH_fig_store.json with budget/fault assertions and one WAL write
+# per acknowledgment point). Everything runs
 # offline (vendored shims only — see README "Offline-dependency
 # policy").
 set -euo pipefail
@@ -245,7 +246,10 @@ echo "== 18/18 fig_store out-of-core + kill-and-recover smoke (publishes BENCH_f
 # budget, nonzero page faults) while never exceeding its byte budget,
 # and the kill-and-recover harness must account exactly-once for every
 # acknowledged query (the run aborts internally on loss/duplication;
-# the checks here pin the counters the claim rests on).
+# the checks here pin the counters the claim rests on). Its WAL must
+# also make exactly one write per acknowledgment point (each submit,
+# the one submit_batch, the flush that staged outcomes) carrying one
+# record per acknowledged submission and terminal outcome.
 cargo run -q --release --offline -p eq_bench --bin fig_store -- --smoke
 cp results/fig_store.json BENCH_fig_store.json
 python3 - <<'PY'
@@ -266,10 +270,16 @@ for r in recover:
     assert k["acknowledged"] > 0
     assert k["recovered_terminal"] + k["recovered_pending"] == k["acknowledged"], \
         "recovered accounting does not cover every acknowledged query exactly once"
+    assert k["wal_writes"] == k["ack_points"], \
+        f"{r['series']}: {k['wal_writes']} WAL writes for {k['ack_points']} acknowledgment points"
+    assert k["wal_records"] == k["acknowledged"] + k["recovered_terminal"], \
+        f"{r['series']}: {k['wal_records']} WAL records, expected one per submission and outcome"
 print(f"paged: {int(c['page_reads'])} faults, resident peak "
       f"{int(c['resident_bytes_peak'])} <= budget {int(c['budget_bytes'])}; "
       f"kill+recover: {int(recover[0]['counters']['acknowledged'])} acknowledged, "
-      f"exactly-once accounting verified")
+      f"exactly-once accounting verified, "
+      f"{int(recover[0]['counters']['wal_writes'])} WAL writes for "
+      f"{int(recover[0]['counters']['ack_points'])} acknowledgment points")
 PY
 
 echo "CI green."
