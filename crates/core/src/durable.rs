@@ -15,7 +15,9 @@
 //!   lock at exactly those two points, so WAL order equals
 //!   acknowledgment order. Records are encoded in place into one
 //!   [`WalBatch`] per acknowledgment point — a whole `submit_batch`, a
-//!   shard's whole drained outcome log — and written with one append;
+//!   shard's whole drained outcome log — and written with one append.
+//!   That batch is reused; a `create_table` or `load` record, which can
+//!   be as large as the load, is written from a batch of its own;
 //! * every WAL record carries a monotonically increasing **sequence
 //!   number**, and [`DurableCoordinator::checkpoint`] writes an atomic
 //!   whole-state image — database contents, pending submissions, the
@@ -763,7 +765,8 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointImage, StoreError> {
 struct DurableState {
     wal: WriteAheadLog,
     /// Records encoded since the last [`DurableState::commit`]; reused
-    /// across commits.
+    /// across commits, so it holds the capacity of the largest
+    /// acknowledgment point made of submissions and outcomes.
     batch: WalBatch,
     /// Sequence number the next encoded record will carry. Records are
     /// encoded under this lock, so numbers are strictly increasing in
@@ -784,14 +787,34 @@ impl DurableState {
     }
 
     /// Writes the open batch in one append: the acknowledgment point.
-    /// A failure is unrecoverable by design: the caller is about to
-    /// acknowledge the batch's events, and acknowledging without the
-    /// log entries would break the recovery contract — so this panics
-    /// rather than silently dropping durability.
     fn commit(&mut self) {
-        if let Err(e) = self.wal.append_batch(&mut self.batch) {
-            panic!("write-ahead append failed: {e}");
-        }
+        append_or_panic(&mut self.wal, &mut self.batch);
+    }
+
+    /// Encodes one record into a batch of its own and writes it: for
+    /// records as large as their input (a bulk load), whose size the
+    /// shared batch should not keep. Records are committed before the
+    /// lock is released, so the shared batch is empty here and the
+    /// append order is the sequence order.
+    fn commit_alone(&mut self, encode: impl FnOnce(&mut Vec<u8>, u64)) {
+        debug_assert!(self.batch.is_empty());
+        let seqno = self.next_seqno;
+        self.next_seqno += 1;
+        let mut batch = WalBatch::default();
+        batch.record(|out| encode(out, seqno));
+        append_or_panic(&mut self.wal, &mut batch);
+    }
+}
+
+/// A failed append is unrecoverable by design: the caller is about to
+/// acknowledge the batch's events, and acknowledging without the log
+/// entries would break the recovery contract — so this panics rather
+/// than silently dropping durability. The batch is emptied either way,
+/// so a caught panic leaves no unacknowledged record for the next
+/// commit to write.
+fn append_or_panic(wal: &mut WriteAheadLog, batch: &mut WalBatch) {
+    if let Err(e) = wal.append_batch(batch) {
+        panic!("write-ahead append failed: {e}");
     }
 }
 
@@ -823,8 +846,7 @@ impl DurabilitySink for WalSink {
 
     fn record_load(&mut self, table: &str, rows: &[Tuple]) {
         let mut state = self.state.lock();
-        state.record(|out, seqno| put_load_record(out, seqno, table, rows));
-        state.commit();
+        state.commit_alone(|out, seqno| put_load_record(out, seqno, table, rows));
     }
 }
 
@@ -1006,8 +1028,7 @@ impl DurableCoordinator {
         self.coordinator.with_exclusive(|| {
             self.coordinator.db().write().create_table(name, columns)?;
             let mut state = self.state.lock();
-            state.record(|out, seqno| put_create_table_record(out, seqno, name, columns));
-            state.commit();
+            state.commit_alone(|out, seqno| put_create_table_record(out, seqno, name, columns));
             Ok(())
         })
     }
@@ -1356,6 +1377,10 @@ mod tests {
                 id: QueryId(8),
                 outcome: golden_invalid(),
             },
+            WalRecord::Outcome {
+                id: QueryId(9),
+                outcome: QueryOutcome::Failed(FailReason::Rejected(RejectReason::NoSolution)),
+            },
         ];
         let golden = [
             "01000000000000000101000000460200000003000000666e6f0400000064657374",
@@ -1367,6 +1392,7 @@ mod tests {
             "0400000000000000040700000000000000000700000000000000010000000100000052010000000200\
              000001050000004a65727279000900000000000000",
             "05000000000000000408000000000000000100010200000001",
+            "06000000000000000409000000000000000104",
         ];
         let mut symbols = SymbolCache::default();
         let encoded: Vec<Vec<u8>> = records

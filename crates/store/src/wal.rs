@@ -15,8 +15,7 @@
 //! place into a reusable [`WalBatch`], which frames it, and
 //! [`WriteAheadLog::append_batch`] hands the whole batch to the OS in
 //! one `write_all` — one write per acknowledgment point, however many
-//! records it acknowledges ([`WriteAheadLog::append`] is a batch of
-//! one). A kill during that write can tear it anywhere, even inside an
+//! records it acknowledges; a single record is a batch of one. A kill during that write can tear it anywhere, even inside an
 //! earlier record of the batch; replay keeps the intact prefix, which
 //! is a prefix of the batch. Nothing in a batch is acknowledged before
 //! the whole batch is written.
@@ -46,13 +45,10 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
 /// Record header bytes: payload length, then checksum.
 const HEADER: usize = 8;
 
-/// Capacity a [`WalBatch`] keeps across batches. A larger batch (a bulk
-/// load) gives its buffer back once written, so one big record does
-/// not pin its size in memory for the rest of the process.
-const RETAINED_CAPACITY: usize = 64 << 10;
-
 /// A reusable buffer of framed records, written by
-/// [`WriteAheadLog::append_batch`] in one write.
+/// [`WriteAheadLog::append_batch`] in one write. It keeps its capacity
+/// across batches, so a caller that writes records as large as their
+/// input (a bulk load) gives them a batch of their own.
 #[derive(Default)]
 pub struct WalBatch {
     buf: Vec<u8>,
@@ -91,11 +87,7 @@ impl WalBatch {
 
     fn clear(&mut self) {
         self.records = 0;
-        if self.buf.capacity() > RETAINED_CAPACITY {
-            self.buf = Vec::new();
-        } else {
-            self.buf.clear();
-        }
+        self.buf.clear();
     }
 }
 
@@ -170,7 +162,9 @@ impl WriteAheadLog {
     }
 
     /// Writes every record in `batch` with one `write_all` and empties
-    /// the batch for reuse. An empty batch writes nothing. The records
+    /// the batch for reuse — also when the write fails, so records that
+    /// were never acknowledged cannot ride along with the next batch.
+    /// An empty batch writes nothing. The records
     /// are on the OS side of the write when this returns —
     /// process-kill durable, not power-loss durable (see the module
     /// docs; [`WriteAheadLog::sync_data`] is the opt-in for the
@@ -179,19 +173,14 @@ impl WriteAheadLog {
         if batch.is_empty() {
             return Ok(());
         }
-        self.file.write_all(&batch.buf)?;
-        self.len += batch.buf.len() as u64;
-        self.writes += 1;
-        self.records += batch.records;
+        let written = self.file.write_all(&batch.buf);
+        let (bytes, records) = (batch.buf.len() as u64, batch.records);
         batch.clear();
+        written?;
+        self.len += bytes;
+        self.writes += 1;
+        self.records += records;
         Ok(())
-    }
-
-    /// Appends one record: a batch of one.
-    pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        let mut batch = WalBatch::default();
-        batch.push(payload);
-        self.append_batch(&mut batch)
     }
 
     /// Flushes every appended record to stable storage (`fdatasync`).
@@ -232,6 +221,15 @@ impl WriteAheadLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WriteAheadLog {
+        /// Appends one record: a batch of one.
+        fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
+            let mut batch = WalBatch::default();
+            batch.push(payload);
+            self.append_batch(&mut batch)
+        }
+    }
 
     #[test]
     fn records_round_trip() {
@@ -339,16 +337,22 @@ mod tests {
     }
 
     #[test]
-    fn a_large_batch_gives_its_buffer_back() {
+    fn a_failed_write_empties_its_batch() {
+        let dir = crate::scratch_dir("wal-failed");
+        let path = dir.join("log.wal");
+        drop(WriteAheadLog::open(&path).unwrap());
+        // A read-only handle: every write to it fails.
+        let mut wal = WriteAheadLog {
+            file: File::open(&path).unwrap(),
+            len: 0,
+            writes: 0,
+            records: 0,
+        };
         let mut batch = WalBatch::default();
-        batch.push(&vec![7u8; 2 * RETAINED_CAPACITY]);
-        let dir = crate::scratch_dir("wal-shrink");
-        let (mut wal, _) = WriteAheadLog::open(&dir.join("log.wal")).unwrap();
-        wal.append_batch(&mut batch).unwrap();
-        assert_eq!(batch.buf.capacity(), 0);
-        batch.push(b"small");
-        wal.append_batch(&mut batch).unwrap();
-        assert!(batch.buf.capacity() > 0, "a small batch keeps its buffer");
+        batch.push(b"never-acknowledged");
+        assert!(wal.append_batch(&mut batch).is_err());
+        assert!(batch.is_empty(), "a failed batch leaves nothing behind");
+        assert_eq!((wal.len_bytes(), wal.writes(), wal.records()), (0, 0, 0));
         crate::purge_dir(&dir);
     }
 

@@ -17,6 +17,15 @@ static SNAPSHOTS: AtomicU64 = AtomicU64::new(0);
 static CLONES: AtomicU64 = AtomicU64::new(0);
 static UNDO_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// `Unifier::clone` calls made on this thread: unit tests run in
+    /// parallel in one process, so a test asserting that an operation
+    /// clones nothing reads its own thread's count, not the process
+    /// total other tests move.
+    static THREAD_CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// A point-in-time reading of the process-wide unifier counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UnifyOps {
@@ -77,6 +86,14 @@ pub(crate) fn count_snapshot() {
 
 pub(crate) fn count_clone() {
     CLONES.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_CLONES.with(|n| n.set(n.get() + 1));
+}
+
+/// `Unifier::clone` calls made on the calling thread.
+#[cfg(test)]
+pub(crate) fn thread_clones() -> u64 {
+    THREAD_CLONES.with(|n| n.get())
 }
 
 /// Records the undo-log length at a snapshot-close boundary. The log

@@ -1001,9 +1001,10 @@ mod tests {
         a.equate(v(1), v(2)).unwrap();
         let mut b = Unifier::new();
         b.bind(v(2), Value::int(4)).unwrap();
-        let clones_before = ops::global().clones;
+        // `mgu` runs on this thread; other tests clone in parallel.
+        let clones_before = ops::thread_clones();
         let m = Unifier::mgu(&a, &b).unwrap();
-        assert_eq!(ops::global().clones, clones_before);
+        assert_eq!(ops::thread_clones(), clones_before);
         assert_eq!(m.constant_of(v(0)), Some(Value::int(4)));
         // Operands are untouched.
         assert_eq!(a.constant_of(v(0)), None);
